@@ -22,7 +22,6 @@ from .sphere_stats import (
     sum_cross_inner,
 )
 from .hull import (
-    Facet,
     FacetComplex,
     symmetric_hull,
     validate_complex,
@@ -41,7 +40,6 @@ from .moments import (
 )
 from .isotropy import (
     IsotropyReport,
-    spd_cholesky_det,
     isotropy_constant,
     isotropic_transform,
     ball_fallback_bound,
@@ -69,7 +67,6 @@ __all__ = [
     "psi2_norm_estimate",
     "bernstein_bound",
     "sum_cross_inner",
-    "Facet",
     "FacetComplex",
     "symmetric_hull",
     "validate_complex",
@@ -84,7 +81,6 @@ __all__ = [
     "sample_in_polytope",
     "mc_moment_oracle",
     "IsotropyReport",
-    "spd_cholesky_det",
     "isotropy_constant",
     "isotropic_transform",
     "ball_fallback_bound",

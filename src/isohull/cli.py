@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Subcommands: sample, hull, trial, experiment, calibrate, check, oracle.
+Subcommands: sample, hull, trial, experiment, calibrate, check.  The
+Monte Carlo cross-check of one trial is ``trial --oracle-samples N``.
 Exit codes: 0 success, 1 usage/config error, 2 numerical/degeneracy
 failure, 3 I/O error.
 """
@@ -61,14 +62,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageExit(message)
 
 
-def _add_cloud_args(p: argparse.ArgumentParser, oracle: bool = False) -> None:
+def _add_cloud_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True, help="ambient dimension")
     p.add_argument("--m", type=int, required=True, help="points before symmetrization")
     p.add_argument("--seed", type=int, required=True, help="64-bit seed")
-    if oracle:
-        p.add_argument(
-            "--oracle-samples", type=int, default=0, help="Monte Carlo sample count"
-        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,7 +82,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump", type=str, default=None, help="write plain-text dump here")
 
     p = sub.add_parser("trial", help="run one trial, print the record as JSON")
-    _add_cloud_args(p, oracle=True)
+    _add_cloud_args(p)
+    p.add_argument(
+        "--oracle-samples", type=int, default=0, help="Monte Carlo sample count"
+    )
 
     p = sub.add_parser("experiment", help="run a campaign from a JSON config file")
     p.add_argument("--config", type=str, required=True, help="config JSON path")
@@ -109,9 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--records", type=str, required=True, help="records .jsonl or .csv")
     p.add_argument("--fixtures", type=str, default=None, help="fixture JSON path")
     p.add_argument("--alpha", type=float, default=None, help="fixed alpha override")
-
-    p = sub.add_parser("oracle", help="Monte Carlo cross-check of one trial")
-    _add_cloud_args(p, oracle=True)
 
     return parser
 
@@ -238,22 +235,6 @@ def _cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _cmd_oracle(args) -> int:
-    samples = args.oracle_samples if args.oracle_samples > 0 else 100_000
-    rec = run_trial(args.n, args.m, args.seed, samples)
-    _emit(
-        {
-            "n": rec.n,
-            "m": rec.m,
-            "seed": rec.seed,
-            "oracle_samples": samples,
-            "exact": {"mean_square": rec.mean_square, "l_k": rec.l_k},
-            "deltas_se": rec.oracle_deltas,
-        }
-    )
-    return EXIT_OK
-
-
 _COMMANDS = {
     "sample": _cmd_sample,
     "hull": _cmd_hull,
@@ -261,7 +242,6 @@ _COMMANDS = {
     "experiment": _cmd_experiment,
     "calibrate": _cmd_calibrate,
     "check": _cmd_check,
-    "oracle": _cmd_oracle,
 }
 
 

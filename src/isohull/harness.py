@@ -21,6 +21,7 @@ that later runs assert against.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -444,17 +445,6 @@ def run_trial(
     )
 
 
-def _limit_worker_blas() -> None:
-    # Worker initializer: one BLAS thread per process.  With several trial
-    # processes on a small box, threaded BLAS only adds contention.
-    try:
-        from threadpoolctl import threadpool_limits
-
-        threadpool_limits(limits=1)
-    except ImportError:
-        pass
-
-
 def _trial_task(task: tuple[int, int, int, int, int]):
     n, m, trial, seed, oracle_samples = task
     try:
@@ -495,16 +485,21 @@ def summarize_records(
     failures: Sequence[dict] = (),
     alpha_rule: AlphaRule | None = None,
 ) -> dict:
-    """Per-cell summary statistics plus the config-free bound checks."""
-    rule = alpha_rule or AlphaRule()
+    """Per-cell summary statistics plus the config-free bound checks.
+
+    The inradius and second-moment figures come from
+    :func:`check_inradius_bound` and :func:`check_second_moment_bound`; an
+    empty record set (every trial failed) has no cells.
+    """
+    groups = _cell_groups(records)
+    inradius_cells = check_inradius_bound(records, alpha_rule) if records else []
+    moment_cells = check_second_moment_bound(records)["cells"] if records else []
     cells = []
-    for (n, m), recs in _cell_groups(records).items():
+    for ((n, m), recs), inr, mom in zip(groups.items(), inradius_cells, moment_cells):
         arr = {
             name: np.array([getattr(r, name) for r in recs])
             for name in ("l_k", "vol_root", "inradius", "mean_square", "max_facet_cross")
         }
-        log_ratio = math.log(m / n)
-        alpha = rule.alpha(n, m)
         cells.append(
             {
                 "n": n,
@@ -515,16 +510,12 @@ def summarize_records(
                 "facet_count_mean": float(np.mean([r.facet_count for r in recs])),
                 "stats": {name: _quantiles(vals) for name, vals in arr.items()},
                 "inradius_check": {
-                    "alpha": alpha,
-                    "violations": int(np.sum(arr["inradius"] < alpha)),
-                    "reference_rate": math.exp(-n),
+                    key: inr[key] for key in ("alpha", "violations", "reference_rate")
                 },
-                "c_emp": float(np.max(arr["mean_square"]) * n / log_ratio),
-                "facet_cross_ratio": float(
-                    np.max(arr["max_facet_cross"]) / (n * log_ratio)
-                ),
+                "c_emp": mom["c_emp"],
+                "facet_cross_ratio": mom["facet_cross_ratio"],
                 "growth_stat": float(
-                    np.median(arr["vol_root"]) * n / math.sqrt(log_ratio)
+                    np.median(arr["vol_root"]) * n / math.sqrt(math.log(m / n))
                 ),
                 "l_k_max": float(np.max(arr["l_k"])),
             }
@@ -548,27 +539,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         for t in range(config.trials)
     ]
     t0 = time.perf_counter()
-    if config.workers == 1:
-        outcomes = map(_trial_task, tasks)
-    else:
-        pool = ProcessPoolExecutor(
-            max_workers=config.workers, initializer=_limit_worker_blas
-        )
-        outcomes = pool.map(_trial_task, tasks)
-
     records: list[TrialRecord] = []
     failures: list[dict] = []
-    done = 0
-    for status, payload in outcomes:
-        if status == "ok":
-            records.append(payload)
+    with contextlib.ExitStack() as stack:
+        if config.workers == 1:
+            outcomes = map(_trial_task, tasks)
         else:
-            failures.append(payload)
-        done += 1
-        if done % 500 == 0:
-            log.info("campaign progress: %d/%d trials", done, len(tasks))
-    if config.workers > 1:
-        pool.shutdown()
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=config.workers))
+            outcomes = pool.map(_trial_task, tasks)
+        for done, (status, payload) in enumerate(outcomes, start=1):
+            (records if status == "ok" else failures).append(payload)
+            if done % 500 == 0:
+                log.info("campaign progress: %d/%d trials", done, len(tasks))
     elapsed = time.perf_counter() - t0
     log.info(
         "campaign finished: %d records, %d failures, %.1f s wall",

@@ -1,22 +1,21 @@
 """Boundary facet complex of the symmetric hull conv{+-P_1, ..., +-P_m}.
 
 Construction runs qhull over all 2m symmetrized points with no symmetry
-shortcuts; central symmetry, ridge pairing, and containment are then
-re-checked post hoc by :func:`validate_complex`, which is independent of
-the construction path.  Random sphere points give simplicial facets with
-probability one; any detected coplanarity degeneracy raises so the caller
-can resample with a fresh derived seed instead of perturbing coordinates.
+shortcuts; central symmetry, ridge pairing, containment and simpliciality
+are then re-checked post hoc by :func:`validate_complex`, which is
+independent of the construction path.  Random sphere points give
+simplicial facets with probability one; a detected coplanarity (more than
+n points on one facet's hyperplane) fails validation, so the caller can
+resample with a fresh derived seed instead of perturbing coordinates.
 
 All facet geometry is stored as flat arrays (ids, normals, distances,
-(n-1)-volumes) to keep per-trial work vectorized; :class:`Facet` is a
-per-facet view for inspection and tests.
+(n-1)-volumes) to keep per-trial work vectorized.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -24,7 +23,6 @@ from scipy.spatial import ConvexHull, QhullError
 from .sphere_stats import PointCloud
 
 __all__ = [
-    "Facet",
     "FacetComplex",
     "symmetric_hull",
     "validate_complex",
@@ -51,27 +49,11 @@ class DegenerateCloudError(ValueError):
 
 
 class DegenerateFacetError(RuntimeError):
-    """A non-simplicial facet was detected; the trial should be resampled."""
+    """qhull failed or gave a degenerate facet; the trial should be resampled."""
 
 
 class InvalidComplexError(RuntimeError):
     """A facet complex violates a structural invariant."""
-
-
-@dataclass(frozen=True)
-class Facet:
-    """One simplicial boundary facet.
-
-    ``vertex_ids`` index the symmetrized point list (id i + m is the
-    antipode of id i); ``normal`` is the unit outward normal, ``dist`` the
-    distance of the supporting hyperplane from the origin, and ``volume``
-    the (n-1)-dimensional volume.
-    """
-
-    vertex_ids: tuple[int, ...]
-    normal: np.ndarray
-    dist: float
-    volume: float
 
 
 @dataclass(eq=False)
@@ -100,17 +82,6 @@ class FacetComplex:
     @property
     def num_points(self) -> int:
         return int(self.vertices.shape[0]) // 2
-
-    def facet(self, i: int) -> Facet:
-        return Facet(
-            vertex_ids=tuple(int(v) for v in self.vertex_ids[i]),
-            normal=self.normals[i].copy(),
-            dist=float(self.dists[i]),
-            volume=float(self.volumes[i]),
-        )
-
-    def __iter__(self) -> Iterator[Facet]:
-        return (self.facet(i) for i in range(self.facet_count))
 
     def facet_vertices(self) -> np.ndarray:
         """Coordinates of every facet's vertices, shape (F, n, n).
@@ -145,10 +116,11 @@ def symmetric_hull(cloud: PointCloud) -> FacetComplex:
     """Facet complex of the convex hull of the 2m symmetrized points.
 
     Requires the cloud to span R^n (rank checked at tolerance 1e-9 on the
-    singular values).  Raises :class:`DegenerateFacetError` when any
-    supporting hyperplane carries more than n points within 1e-9, i.e. a
-    facet failed to be a simplex; callers treat that as a resample event.
-    Accepts general-position non-unit inputs (the transformed-cloud path).
+    singular values).  Raises :class:`DegenerateFacetError` when qhull
+    fails or a facet plane passes through the origin or has zero volume;
+    callers treat that as a resample event.  Coplanar points are not
+    checked here; :func:`validate_complex` reports them.  Accepts
+    general-position non-unit inputs (the transformed-cloud path).
     """
     pts = cloud.points
     n = cloud.n
@@ -173,14 +145,6 @@ def symmetric_hull(cloud: PointCloud) -> FacetComplex:
         raise DegenerateFacetError(
             "degenerate: perturbation required (facet plane through origin)"
         )
-
-    # More than n points on one supporting hyperplane means a merged,
-    # non-simplicial facet that qhull triangulated.
-    for lo in range(0, normals.shape[0], _PLANE_CHUNK):
-        hi = lo + _PLANE_CHUNK
-        slack = np.abs(sym @ normals[lo:hi].T - dists[None, lo:hi])
-        if np.any((slack <= COPLANARITY_TOL).sum(axis=0) > n):
-            raise DegenerateFacetError("degenerate: perturbation required")
 
     volumes = _simplex_facet_volumes(sym[ids], dists, n)
     if np.any(volumes <= 1e-14):
@@ -314,8 +278,9 @@ def validate_complex(fc: FacetComplex) -> ComplexDiagnostics:
     contains an antipodal pair, distances are positive (and at most 1 for
     unit-vertex complexes), every ridge is shared by exactly two facets,
     facets come in antipodal pairs with negated normals, all points lie on
-    the inner side of every facet, and the cone decomposition has positive
-    total measure.
+    the inner side of every facet, no facet's hyperplane carries more than
+    n points (a coplanar, non-simplicial facet that qhull triangulated),
+    and the cone decomposition has positive total measure.
     """
     checks: list[CheckResult] = []
     F = fc.facet_count
@@ -381,11 +346,15 @@ def validate_complex(fc: FacetComplex) -> ComplexDiagnostics:
     bad = np.flatnonzero(~sym_ok)
     checks.append(CheckResult("central_symmetry", bad.size == 0, _first(bad), int(bad.size)))
 
+    # One sweep over the (2m x F) slack matrix gives each facet's largest
+    # slack and the number of points on its hyperplane.
     viol = np.empty(F)
+    on_plane = np.empty(F, dtype=np.int64)
     for lo in range(0, F, _PLANE_CHUNK):
         hi = lo + _PLANE_CHUNK
         slack = fc.vertices @ fc.normals[lo:hi].T - fc.dists[None, lo:hi]
         viol[lo:hi] = slack.max(axis=0)
+        on_plane[lo:hi] = (np.abs(slack) <= COPLANARITY_TOL).sum(axis=0)
     bad = np.flatnonzero(viol > CONTAINMENT_TOL)
     checks.append(
         CheckResult(
@@ -394,6 +363,16 @@ def validate_complex(fc: FacetComplex) -> ComplexDiagnostics:
             _first(bad),
             int(bad.size),
             f"max slack {viol.max():.3e}" if F else "",
+        )
+    )
+    bad = np.flatnonzero(on_plane > n)
+    checks.append(
+        CheckResult(
+            "simplicial",
+            bad.size == 0,
+            _first(bad),
+            int(bad.size),
+            f"up to {on_plane.max()} points on one facet plane" if F else "",
         )
     )
 

@@ -11,9 +11,9 @@ bound sqrt(mean_square / (n |K|^{2/n})).  Both are affine invariants of
 the body; their gap measures how far the covariance is from a multiple of
 the identity.
 
-The linear algebra here is deliberately self-contained: a pivoted
-triangular factorization for determinants of small SPD matrices and a
-cyclic Jacobi eigensolver for the symmetric inverse square root.
+The determinant comes from numpy's Cholesky factor, with a pivot guard
+that rejects near-singular covariances, and the symmetric inverse square
+root from numpy's ``eigh``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .sphere_stats import PointCloud, ball_volume
 
 __all__ = [
     "IsotropyReport",
-    "spd_cholesky_det",
     "isotropy_constant",
     "isotropic_transform",
     "ball_fallback_bound",
@@ -38,7 +37,6 @@ __all__ = [
 
 SYMMETRY_TOL = 1e-10
 PIVOT_TOL = 1e-14
-JACOBI_TOL = 1e-12
 
 
 class NotSPDError(ValueError):
@@ -55,62 +53,6 @@ class IsotropyReport:
     det_cov: float
 
 
-def spd_cholesky_det(matrix: np.ndarray) -> float:
-    """Determinant of a symmetric positive-definite matrix.
-
-    Classic Cholesky with an explicit pivot guard: any pivot at or below
-    1e-14 aborts with :class:`NotSPDError` instead of propagating NaNs.
-    """
-    A = np.asarray(matrix, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("matrix must be square")
-    if float(np.abs(A - A.T).max()) > SYMMETRY_TOL:
-        raise NotSPDError("not SPD: matrix is not symmetric")
-    n = A.shape[0]
-    L = np.zeros_like(A)
-    for k in range(n):
-        pivot = A[k, k] - float(L[k, :k] @ L[k, :k])
-        if pivot <= PIVOT_TOL:
-            raise NotSPDError(f"not SPD: pivot {pivot:.3e} at index {k}")
-        L[k, k] = math.sqrt(pivot)
-        if k + 1 < n:
-            L[k + 1 :, k] = (A[k + 1 :, k] - L[k + 1 :, :k] @ L[k, :k]) / L[k, k]
-    det_root = float(np.prod(np.diag(L)))
-    return det_root * det_root
-
-
-def _jacobi_eigh(matrix: np.ndarray, tol: float = JACOBI_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a small symmetric matrix by cyclic Jacobi sweeps.
-
-    Returns (eigenvalues, orthogonal matrix Q) with A = Q diag(w) Q^T;
-    sweeps run until every off-diagonal entry is at most ``tol`` (inputs
-    here are O(1) covariance matrices, so the absolute threshold is fine).
-    """
-    A = np.array(matrix, dtype=float)
-    n = A.shape[0]
-    Q = np.eye(n)
-    for _ in range(100):
-        off = np.abs(A - np.diag(np.diag(A))).max() if n > 1 else 0.0
-        if off <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(A[p, q]) <= tol:
-                    continue
-                theta = 0.5 * math.atan2(2.0 * A[p, q], A[q, q] - A[p, p])
-                c, s = math.cos(theta), math.sin(theta)
-                rot_p = c * A[:, p] - s * A[:, q]
-                rot_q = s * A[:, p] + c * A[:, q]
-                A[:, p], A[:, q] = rot_p, rot_q
-                rot_p = c * A[p, :] - s * A[q, :]
-                rot_q = s * A[p, :] + c * A[q, :]
-                A[p, :], A[q, :] = rot_p, rot_q
-                rot_p = c * Q[:, p] - s * Q[:, q]
-                rot_q = s * Q[:, p] + c * Q[:, q]
-                Q[:, p], Q[:, q] = rot_p, rot_q
-    return np.diag(A).copy(), Q
-
-
 def isotropy_constant(volume: float, covariance: np.ndarray) -> IsotropyReport:
     """Isotropy constant of a centered body from its volume and covariance.
 
@@ -124,7 +66,16 @@ def isotropy_constant(volume: float, covariance: np.ndarray) -> IsotropyReport:
         raise ValueError(f"volume must be positive, got {volume}")
     cov = np.asarray(covariance, dtype=float)
     n = cov.shape[0]
-    det = spd_cholesky_det(cov)
+    if float(np.abs(cov - cov.T).max()) > SYMMETRY_TOL:
+        raise NotSPDError("not SPD: matrix is not symmetric")
+    try:
+        L = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError as exc:
+        raise NotSPDError(f"not SPD: {exc}") from exc
+    pivots = np.diag(L) ** 2
+    if np.any(pivots <= PIVOT_TOL):
+        raise NotSPDError(f"not SPD: pivot {pivots.min():.3e} at or below {PIVOT_TOL}")
+    det = float(np.prod(np.diag(L))) ** 2
     vol_root = volume ** (1.0 / n)
     l_k = det ** (0.5 / n) / volume ** (1.0 / n)
     mean_square = float(np.trace(cov))
@@ -146,7 +97,7 @@ def isotropic_transform(fc: FacetComplex) -> tuple[np.ndarray, PointCloud]:
         raise ValueError("complex has no source cloud to transform")
     vol = polytope_volume(fc)
     cov = polytope_covariance(fc)
-    eigvals, Q = _jacobi_eigh(cov)
+    eigvals, Q = np.linalg.eigh(cov)
     if np.any(eigvals <= 0.0):
         raise NotSPDError("not SPD: covariance has a non-positive eigenvalue")
     inv_sqrt = (Q * (eigvals**-0.5)[None, :]) @ Q.T

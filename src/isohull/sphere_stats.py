@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy import special
 
 __all__ = [
     "derive_seed",
@@ -145,7 +146,7 @@ class PointCloud:
     materialized lazily: index i in [0, m) is the i-th point, index i + m
     is its antipode.  Clouds built by :func:`sample_symmetric_cloud` have
     unit-norm rows; transformed clouds in the general-vertex code path may
-    not, so unitness is a queryable property rather than an invariant.
+    not.
     """
 
     points: np.ndarray
@@ -168,10 +169,6 @@ class PointCloud:
     def symmetrized(self) -> np.ndarray:
         """The 2m symmetrized points; row i + m is the antipode of row i."""
         return np.vstack([self.points, -self.points])
-
-    def is_unit(self, tol: float = 1e-9) -> bool:
-        norms = np.linalg.norm(self.points, axis=1)
-        return bool(np.all(np.abs(norms - 1.0) <= tol))
 
     def transformed(self, matrix: np.ndarray) -> "PointCloud":
         """The cloud mapped through an invertible linear map (rows -> T rows)."""
@@ -238,56 +235,18 @@ def sphere_abs_moment(n: int, q: float) -> float:
     return math.exp(log_val)
 
 
-def _adaptive_simpson(f, a: float, b: float, tol: float) -> float:
-    """Adaptive Simpson quadrature with absolute tolerance ``tol``."""
-
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    def recurse(x0, x2, f0, f1, f2, whole, eps, depth):
-        x1 = 0.5 * (x0 + x2)
-        lm = 0.5 * (x0 + x1)
-        rm = 0.5 * (x1 + x2)
-        flm = f(lm)
-        frm = f(rm)
-        left = simpson(x0, x1, f0, flm, f1)
-        right = simpson(x1, x2, f1, frm, f2)
-        if depth <= 0 or abs(left + right - whole) <= 15.0 * eps:
-            return left + right + (left + right - whole) / 15.0
-        return recurse(x0, x1, f0, flm, f1, left, 0.5 * eps, depth - 1) + recurse(
-            x1, x2, f1, frm, f2, right, 0.5 * eps, depth - 1
-        )
-
-    if a == b:
-        return 0.0
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, 48)
-
-
 def cap_tail_prob(n: int, alpha: float) -> float:
     """sigma{u in S^{n-1} : |<u, theta>| > alpha} for any fixed unit theta.
 
-    Two-sided cap measure, computed as
-    2 (n-1) w_{n-1} / (n w_n) * int_alpha^1 (1 - x^2)^{(n-3)/2} dx
-    with the volume ratio in log space and the integral evaluated after
-    the substitution x = sin t (which removes the n = 2 endpoint
-    singularity).  Absolute quadrature error <= 1e-10.
+    Two-sided cap measure in closed form: <u, theta>^2 is
+    Beta(1/2, (n-1)/2)-distributed, so the measure is the regularized
+    incomplete beta function I_{1 - alpha^2}((n-1)/2, 1/2).
     """
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    if alpha == 1.0:
-        return 0.0
-    log_ratio = (
-        math.log(n - 1) + _log_ball_volume(n - 1) - math.log(n) - _log_ball_volume(n)
-    )
-    power = n - 2  # integrand cos^{n-2}(t) after x = sin(t)
-    integral = _adaptive_simpson(
-        lambda t: math.cos(t) ** power, math.asin(alpha), 0.5 * math.pi, 1e-11
-    )
-    return 2.0 * math.exp(log_ratio) * integral
+    return float(special.betainc(0.5 * (n - 1), 0.5, 1.0 - alpha * alpha))
 
 
 def psi2_norm_estimate(values: Sequence[float] | np.ndarray) -> float:

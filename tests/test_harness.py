@@ -3,9 +3,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import multiprocessing
 
 import pytest
 
+from isohull import harness
 from isohull.harness import (
     AlphaRule,
     CSV_COLUMNS,
@@ -128,6 +130,22 @@ class TestRunExperiment:
         for name in ("records.csv", "records.jsonl"):
             assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
         assert r1.summary["cells"] == r2.summary["cells"]
+
+    def test_pool_closed_when_a_trial_raises(self, tmp_path, monkeypatch):
+        # forked workers inherit the patched run_trial; an error other than
+        # TrialError must reach the caller and leave no worker alive
+        bad_seed = derive_seed(2024, [3, 6, 2])
+        real = harness.run_trial
+
+        def failing(n, m, seed, *args, **kwargs):
+            if seed == bad_seed:
+                raise ValueError("injected failure")
+            return real(n, m, seed, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_trial", failing)
+        with pytest.raises(ValueError, match="injected failure"):
+            run_experiment(small_config(tmp_path, workers=2))
+        assert multiprocessing.active_children() == []
 
     def test_summary_content(self, tmp_path):
         res = run_experiment(small_config(tmp_path))

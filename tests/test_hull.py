@@ -65,15 +65,14 @@ class TestConstruction:
             assert facet_id_sets(fc) == brute_force_facets(sym)
 
     def test_no_degeneracies_in_random_sweep(self):
-        # the coplanarity guard should never trip for generic sphere points
+        # the coplanarity check should never trip for generic sphere points
         count = 0
         for seed in range(1200):
             n = 2 + seed % 7  # dimensions 2..8
             m = n + 2 + (seed % 5)
             fc = random_complex(n, m, seed)
+            assert validate_complex(fc).passed, (n, m, seed)
             count += 1
-            if seed % 240 == 0:
-                assert validate_complex(fc).passed
         assert count == 1200
 
 
@@ -88,6 +87,7 @@ class TestValidation:
             "ridge_shared_twice",
             "central_symmetry",
             "containment",
+            "simplicial",
             "positive_measure",
         }
 
@@ -126,6 +126,14 @@ class TestValidation:
         diag = validate_complex(mutant)
         assert not diag.check("containment").passed
         assert diag.check("containment").n_offending >= 1
+
+    def test_coplanar_point_fails_only_simplicial(self):
+        # (0.5, 0.5) lies on the edge from (1, 0) to (0, 1): three points on
+        # one facet line, which qhull merges and triangulates
+        fc = symmetric_hull(PointCloud([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]))
+        diag = validate_complex(fc)
+        assert {c.name for c in diag.checks if not c.passed} == {"simplicial"}
+        assert diag.check("simplicial").n_offending == 2  # the edge and its antipode
 
     def test_facets_pair_up_antipodally(self):
         fc = random_complex(3, 12, 123)

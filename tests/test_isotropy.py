@@ -8,11 +8,9 @@ import pytest
 from isohull.hull import symmetric_hull
 from isohull.isotropy import (
     NotSPDError,
-    _jacobi_eigh,
     ball_fallback_bound,
     isotropic_transform,
     isotropy_constant,
-    spd_cholesky_det,
 )
 from isohull.moments import polytope_covariance, polytope_volume
 from isohull.sphere_stats import RngStream
@@ -35,41 +33,36 @@ def bounded_condition_map(n: int, seed: int) -> np.ndarray:
     return U @ np.diag(s) @ V.T
 
 
+def det_cov(covariance: np.ndarray) -> float:
+    return isotropy_constant(1.0, covariance).det_cov
+
+
 class TestCholeskyDet:
+    """The covariance determinant behind ``isotropy_constant``."""
+
     def test_identity(self):
-        assert spd_cholesky_det(np.eye(4)) == 1.0
+        assert det_cov(np.eye(4)) == 1.0
 
     def test_diagonal(self):
-        assert spd_cholesky_det(np.diag([0.25, 0.25])) == pytest.approx(1.0 / 16.0, abs=1e-16)
+        assert det_cov(np.diag([0.25, 0.25])) == pytest.approx(1.0 / 16.0, abs=1e-16)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_matches_cofactor_expansion(self, n):
         for seed in range(5):
             M = random_spd(n, 300 + seed)
-            assert spd_cholesky_det(M) == pytest.approx(cofactor_det(M), rel=1e-10)
+            assert det_cov(M) == pytest.approx(cofactor_det(M), rel=1e-10)
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotSPDError):
-            spd_cholesky_det(np.diag([1.0, -1.0]))
+            det_cov(np.diag([1.0, -1.0]))
 
     def test_rejects_asymmetric(self):
         with pytest.raises(NotSPDError):
-            spd_cholesky_det(np.array([[1.0, 0.5], [0.0, 1.0]]))
+            det_cov(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
     def test_rejects_tiny_pivot(self):
         with pytest.raises(NotSPDError):
-            spd_cholesky_det(np.diag([1.0, 1e-15]))
-
-
-class TestJacobi:
-    def test_matches_lapack(self):
-        for seed in range(5):
-            n = 2 + seed
-            M = random_spd(n, 400 + seed)
-            w, Q = _jacobi_eigh(M)
-            assert np.abs(Q @ np.diag(w) @ Q.T - M).max() <= 1e-11
-            assert np.abs(Q @ Q.T - np.eye(n)).max() <= 1e-12
-            assert np.allclose(np.sort(w), np.linalg.eigvalsh(M), atol=1e-11)
+            det_cov(np.diag([1.0, 1e-15]))
 
 
 class TestIsotropyConstant:
@@ -129,6 +122,20 @@ class TestIsotropyConstant:
 
 
 class TestIsotropicTransform:
+    def test_inverse_square_root_matches_covariance(self):
+        # T is symmetric, maps the body to volume one, and T Cov T^t is the
+        # image's covariance L_K^2 * Identity
+        for seed in range(5):
+            n = 2 + seed
+            fc = random_complex(n, 2 * n + 3, 400 + seed)
+            vol = polytope_volume(fc)
+            cov = polytope_covariance(fc)
+            l_k = isotropy_constant(vol, cov).l_k
+            T, _ = isotropic_transform(fc)
+            assert np.abs(T - T.T).max() <= 1e-12
+            assert abs(np.linalg.det(T)) * vol == pytest.approx(1.0, rel=1e-10)
+            assert np.abs(T @ cov @ T.T - l_k**2 * np.eye(n)).max() <= 1e-11
+
     def test_cross_polytope_needs_scaling_only(self):
         fc = cross_polytope_complex(4)
         T, _ = isotropic_transform(fc)

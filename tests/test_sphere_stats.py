@@ -195,6 +195,24 @@ class TestCapTailProb:
             oracle = 1.0 - 2.0 / math.pi * math.asin(alpha)
             assert abs(cap_tail_prob(2, alpha) - oracle) <= 1e-10
 
+    @pytest.mark.parametrize("n", [8, 32, 64, 100])
+    def test_matches_quadrature(self, n):
+        # 2 (n-1) w_{n-1} / (n w_n) * int_alpha^1 (1 - x^2)^{(n-3)/2} dx,
+        # with w_k = pi^{k/2} / Gamma(k/2 + 1) the unit-ball volume
+        log_w = lambda k: 0.5 * k * math.log(math.pi) - math.lgamma(0.5 * k + 1.0)
+        ratio = 2.0 * (n - 1) / n * math.exp(log_w(n - 1) - log_w(n))
+        for i in range(100):
+            alpha = i / 100
+            integral, _ = integrate.quad(
+                lambda x: (1.0 - x * x) ** (0.5 * (n - 3)),
+                alpha,
+                1.0,
+                epsabs=1e-15,
+                epsrel=1e-13,
+                limit=200,
+            )
+            assert abs(cap_tail_prob(n, alpha) - ratio * integral) <= 1e-12, alpha
+
     def test_domain_error(self):
         with pytest.raises(ValueError):
             cap_tail_prob(3, -0.1)
