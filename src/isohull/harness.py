@@ -27,6 +27,7 @@ import hashlib
 import json
 import logging
 import math
+import os
 import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -40,11 +41,12 @@ from . import __version__
 from .hull import (
     DegenerateCloudError,
     DegenerateFacetError,
+    InvalidComplexError,
     inradius as complex_inradius,
     symmetric_hull,
     validate_complex,
 )
-from .isotropy import isotropy_constant
+from .isotropy import NotSPDError, isotropy_constant
 from .moments import (
     facet_cross_sums,
     mc_moment_oracle,
@@ -445,12 +447,27 @@ def run_trial(
     )
 
 
+# A trial that raises one of these becomes a failure row; the campaign goes
+# on.  Only degeneracy is resampled (inside run_trial).
+_TRIAL_FAILURES = (TrialError, InvalidComplexError, NotSPDError, np.linalg.LinAlgError)
+
+
 def _trial_task(task: tuple[int, int, int, int, int]):
     n, m, trial, seed, oracle_samples = task
     try:
         return ("ok", run_trial(n, m, seed, oracle_samples, trial_index=trial))
-    except TrialError as exc:
-        return ("failed", {"n": n, "m": m, "trial": trial, "seed": seed, "error": str(exc)})
+    except _TRIAL_FAILURES as exc:
+        return (
+            "failed",
+            {
+                "n": n,
+                "m": m,
+                "trial": trial,
+                "seed": seed,
+                "error_type": type(exc).__name__,
+                "error": str(exc),
+            },
+        )
 
 
 @dataclass
@@ -572,11 +589,30 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             out.mkdir(parents=True, exist_ok=True)
             paths = emit_records(records, out, config.emit_csv, config.emit_jsonl)
             summary_path = out / "summary.json"
-            summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+            _write_atomic(summary_path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
             paths["summary"] = str(summary_path)
         except OSError as exc:
             raise EmitError(f"cannot write outputs under {config.output_dir}: {exc}") from exc
     return ExperimentResult(config, records, failures, summary, paths)
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Replace ``path`` by ``text`` in one step, or leave it as it was.
+
+    The text goes to a temporary file in the same directory, which is
+    flushed to disk and then renamed over the target; on any error the
+    temporary file is removed.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def emit_records(
@@ -601,11 +637,11 @@ def emit_records(
             path = out / f"{basename}.csv"
             lines = [",".join(CSV_COLUMNS)]
             lines += [r.to_csv_row() for r in ordered]
-            path.write_text("\n".join(lines) + "\n")
+            _write_atomic(path, "\n".join(lines) + "\n")
             paths["csv"] = str(path)
         if jsonl:
             path = out / f"{basename}.jsonl"
-            path.write_text("".join(r.to_json_line() + "\n" for r in ordered))
+            _write_atomic(path, "".join(r.to_json_line() + "\n" for r in ordered))
             paths["jsonl"] = str(path)
     except OSError as exc:
         raise EmitError(f"cannot write records under {out}: {exc}") from exc
@@ -744,7 +780,7 @@ def load_fixture(path: str | Path | None = None) -> dict:
 def save_fixture(fixture: dict, path: str | Path | None = None) -> Path:
     p = Path(path) if path is not None else fixture_path()
     p.parent.mkdir(parents=True, exist_ok=True)
-    p.write_text(json.dumps(fixture, indent=2, sort_keys=True) + "\n")
+    _write_atomic(p, json.dumps(fixture, indent=2, sort_keys=True) + "\n")
     return p
 
 

@@ -1,12 +1,23 @@
 """Boundary facet complex of the symmetric hull conv{+-P_1, ..., +-P_m}.
 
 Construction runs qhull over all 2m symmetrized points with no symmetry
-shortcuts; central symmetry, ridge pairing, containment and simpliciality
-are then re-checked post hoc by :func:`validate_complex`, which is
-independent of the construction path.  Random sphere points give
-simplicial facets with probability one; a detected coplanarity (more than
-n points on one facet's hyperplane) fails validation, so the caller can
-resample with a fresh derived seed instead of perturbing coordinates.
+shortcuts and without premerging (qhull option ``Q0``; scipy adds ``Qt``,
+so every facet comes back as a simplex).  Random sphere points are in
+general position with probability one, so there is nothing to merge, and
+on the default campaign ``Q0`` gives the same facet sets as qhull's
+defaults at a fraction of the cost.  Central symmetry, ridge pairing,
+containment and simpliciality are then re-checked post hoc by
+:func:`validate_complex`, which is independent of the construction path.
+A detected coplanarity (more than n points on one facet's hyperplane)
+fails validation, so the caller can resample with a fresh derived seed
+instead of perturbing coordinates.
+
+Each facet is identified by one key: its sorted vertex ids packed into a
+uint64 (when they fit), which orders facets lexicographically and from
+which every ridge key is sliced without materializing the ridges.  Row i
++ m of the vertex table is the exact negation of row i; the containment
+sweep relies on that to visit only the m base points, and the
+``central_symmetry`` check fails any complex that breaks it.
 
 All facet geometry is stored as flat arrays (ids, normals, distances,
 (n-1)-volumes) to keep per-trial work vectorized.
@@ -74,6 +85,7 @@ class FacetComplex:
     source: PointCloud | None = None
     _cone_cdf: np.ndarray | None = field(default=None, init=False, repr=False)
     _facet_coords: np.ndarray | None = field(default=None, init=False, repr=False)
+    _cross_sums: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
     def facet_count(self) -> int:
@@ -86,7 +98,8 @@ class FacetComplex:
     def facet_vertices(self) -> np.ndarray:
         """Coordinates of every facet's vertices, shape (F, n, n).
 
-        The gather is cached; at campaign scale it is tens of megabytes
+        The gather is cached (:func:`symmetric_hull` stores the one it made
+        for the facet volumes); at campaign scale it is tens of megabytes
         and every moment computation needs it.
         """
         if self._facet_coords is None:
@@ -134,34 +147,40 @@ def symmetric_hull(cloud: PointCloud) -> FacetComplex:
 
     sym = cloud.symmetrized()
     try:
-        qh = ConvexHull(sym)
+        qh = ConvexHull(sym, qhull_options="Q0")
     except QhullError as exc:
         raise DegenerateFacetError(f"degenerate: perturbation required ({exc})") from exc
 
     ids = np.sort(qh.simplices.astype(np.int64), axis=1)
-    normals = qh.equations[:, :n].copy()
-    dists = -qh.equations[:, n].copy()
+    keys = _pack_rows(ids, sym.shape[0])
+    order = np.lexsort(ids.T[::-1]) if keys is None else np.argsort(keys)
+    ids = ids[order]
+    equations = qh.equations[order]
+    normals = np.ascontiguousarray(equations[:, :n])
+    dists = -equations[:, n]
     if np.any(dists <= 1e-12):
         raise DegenerateFacetError(
             "degenerate: perturbation required (facet plane through origin)"
         )
 
-    volumes = _simplex_facet_volumes(sym[ids], dists, n)
+    coords = sym[ids]
+    volumes = _simplex_facet_volumes(coords, dists, n)
     if np.any(volumes <= 1e-14):
         raise DegenerateFacetError(
             "degenerate: perturbation required (zero-volume facet)"
         )
 
-    order = np.lexsort(ids.T[::-1])
-    return FacetComplex(
+    fc = FacetComplex(
         n=n,
         vertices=sym,
-        vertex_ids=ids[order],
-        normals=normals[order],
-        dists=dists[order],
-        volumes=volumes[order],
+        vertex_ids=ids,
+        normals=normals,
+        dists=dists,
+        volumes=volumes,
         source=cloud,
     )
+    fc._facet_coords = coords
+    return fc
 
 
 @dataclass(frozen=True)
@@ -203,11 +222,15 @@ class ComplexDiagnostics:
         }
 
 
+def _id_bits(id_bound: int) -> int:
+    return max(1, int(id_bound - 1).bit_length())
+
+
 def _pack_rows(rows: np.ndarray, id_bound: int) -> np.ndarray | None:
     # Pack each row of sorted ids into one uint64 key (exact, no hashing)
-    # when the ids fit; None means the caller must fall back to row-wise
-    # comparison.
-    bits = max(1, int(id_bound - 1).bit_length())
+    # when the ids fit; keys then order rows lexicographically.  None means
+    # the caller must fall back to row-wise comparison.
+    bits = _id_bits(id_bound)
     if rows.shape[1] * bits > 63:
         return None
     keys = np.zeros(rows.shape[0], dtype=np.uint64)
@@ -217,30 +240,33 @@ def _pack_rows(rows: np.ndarray, id_bound: int) -> np.ndarray | None:
     return keys
 
 
-def _row_multiset_counts(rows: np.ndarray, id_bound: int) -> np.ndarray:
-    """Count occurrences of each row among all rows (rows must be sorted per row)."""
-    keys = _pack_rows(rows, id_bound)
+def _ridges(vertex_ids: np.ndarray, keys: np.ndarray | None, id_bound: int) -> np.ndarray:
+    """The F * n ridges; block k holds every facet without its column k.
+
+    With packed facet keys each ridge key is sliced out of its facet key
+    (the fields before column k shift down over it), which equals packing
+    the ridge row itself; otherwise the ridges are rows of ids.
+    """
+    F, n = vertex_ids.shape
     if keys is None:
-        _, inverse, counts = np.unique(
-            rows, axis=0, return_inverse=True, return_counts=True
-        )
-        return counts[inverse]
-    order = np.argsort(keys, kind="stable")
-    sk = keys[order]
-    boundaries = np.flatnonzero(np.concatenate(([True], sk[1:] != sk[:-1])))
-    run_lengths = np.diff(np.concatenate((boundaries, [sk.size])))
-    counts_sorted = np.repeat(run_lengths, run_lengths)
-    counts = np.empty_like(counts_sorted)
-    counts[order] = counts_sorted
-    return counts
+        return np.concatenate([np.delete(vertex_ids, k, axis=1) for k in range(n)])
+    bits = _id_bits(id_bound)
+    ridges = np.empty(F * n, dtype=np.uint64)
+    for k in range(n):
+        low = bits * (n - 1 - k)  # width of the fields after column k
+        head = (keys >> np.uint64(low + bits)) << np.uint64(low)
+        ridges[k * F : (k + 1) * F] = head | (keys & np.uint64((1 << low) - 1))
+    return ridges
 
 
-def _all_rows_paired(rows: np.ndarray, id_bound: int) -> bool | None:
-    # Fast verdict on "every row appears exactly twice"; None means the ids
-    # do not pack into 64 bits and the caller must use the counting path.
-    keys = _pack_rows(rows, id_bound)
-    if keys is None:
-        return None
+def _multiset_counts(items: np.ndarray) -> np.ndarray:
+    """Occurrences of each item (packed key or row of ids) among all items."""
+    _, inverse, counts = np.unique(items, axis=0, return_inverse=True, return_counts=True)
+    return counts[inverse]
+
+
+def _all_keys_paired(keys: np.ndarray) -> bool:
+    # Fast verdict on "every key appears exactly twice".
     if keys.size % 2:
         return False
     k = np.sort(keys)
@@ -250,20 +276,20 @@ def _all_rows_paired(rows: np.ndarray, id_bound: int) -> bool | None:
     return bool(np.all(odd[:-1] != even[1:]))
 
 
-def _match_rows(rows: np.ndarray, queries: np.ndarray, id_bound: int) -> np.ndarray:
-    """Index into ``rows`` of each query row, or -1 when absent."""
-    keys = _pack_rows(rows, id_bound)
-    qkeys = _pack_rows(queries, id_bound)
-    if keys is None or qkeys is None:
-        lookup = {tuple(r): i for i, r in enumerate(rows.tolist())}
-        return np.array([lookup.get(tuple(q), -1) for q in queries.tolist()])
-    order = np.argsort(keys, kind="stable")
-    sk = keys[order]
-    pos = np.searchsorted(sk, qkeys)
+def _match_rows(items: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Index into ``items`` of each query, or -1 when absent.
+
+    Items and queries are both packed keys or both rows of ids.
+    """
+    if items.ndim == 2:
+        lookup = {tuple(r): i for i, r in enumerate(items.tolist())}
+        return np.array([lookup.get(tuple(q), -1) for q in queries.tolist()], dtype=np.int64)
+    order = np.argsort(items, kind="stable")
+    sk = items[order]
+    pos = np.searchsorted(sk, queries)
     pos = np.minimum(pos, sk.size - 1)
-    found = sk[pos] == qkeys
-    out = np.where(found, order[pos], -1)
-    return out
+    found = sk[pos] == queries
+    return np.where(found, order[pos], -1)
 
 
 def _first(idx: np.ndarray, limit: int = 16) -> tuple[int, ...]:
@@ -277,10 +303,11 @@ def validate_complex(fc: FacetComplex) -> ComplexDiagnostics:
     of raising.  Checks: facet vertices lie on their hyperplane, no facet
     contains an antipodal pair, distances are positive (and at most 1 for
     unit-vertex complexes), every ridge is shared by exactly two facets,
-    facets come in antipodal pairs with negated normals, all points lie on
-    the inner side of every facet, no facet's hyperplane carries more than
-    n points (a coplanar, non-simplicial facet that qhull triangulated),
-    and the cone decomposition has positive total measure.
+    vertex rows and facets come in exact antipodal pairs (facets with
+    negated normals), all points lie on the inner side of every facet, no
+    facet's hyperplane carries more than n points (a coplanar,
+    non-simplicial facet that qhull triangulated), and the cone
+    decomposition has positive total measure.
     """
     checks: list[CheckResult] = []
     F = fc.facet_count
@@ -314,15 +341,12 @@ def validate_complex(fc: FacetComplex) -> ComplexDiagnostics:
 
     # Every (n-1)-subset of a facet is a ridge and must appear in exactly
     # two facets.
-    ridges = np.empty((F * n, n - 1), dtype=np.int64)
-    for k in range(n):
-        cols = [c for c in range(n) if c != k]
-        ridges[k * F : (k + 1) * F] = fc.vertex_ids[:, cols]
-    if _all_rows_paired(ridges, two_m):
+    keys = _pack_rows(fc.vertex_ids, two_m)
+    ridges = _ridges(fc.vertex_ids, keys, two_m)
+    if keys is not None and _all_keys_paired(ridges):
         checks.append(CheckResult("ridge_shared_twice", True))
     else:
-        counts = _row_multiset_counts(ridges, two_m)
-        bad_ridges = np.flatnonzero(counts != 2)
+        bad_ridges = np.flatnonzero(_multiset_counts(ridges) != 2)
         bad_facets = np.unique(bad_ridges % F)
         checks.append(
             CheckResult(
@@ -336,25 +360,47 @@ def validate_complex(fc: FacetComplex) -> ComplexDiagnostics:
             )
         )
 
+    # Row i + m must be the exact negation of row i (the plane sweep below
+    # visits only the first m rows), and facets must pair up antipodally
+    # with negated normals.
+    antipodal = np.array_equal(fc.vertices[m:], -fc.vertices[:m])
     anti_ids = np.sort((fc.vertex_ids + m) % two_m, axis=1)
-    partner = _match_rows(fc.vertex_ids, anti_ids, two_m)
+    if keys is None:
+        partner = _match_rows(fc.vertex_ids, anti_ids)
+    else:
+        partner = _match_rows(keys, _pack_rows(anti_ids, two_m))
     sym_ok = partner >= 0
     if np.any(sym_ok):
         has = np.flatnonzero(sym_ok)
         flipped = fc.normals[partner[has]] + fc.normals[has]
         sym_ok[has] &= np.abs(flipped).max(axis=1) <= CONTAINMENT_TOL
     bad = np.flatnonzero(~sym_ok)
-    checks.append(CheckResult("central_symmetry", bad.size == 0, _first(bad), int(bad.size)))
+    checks.append(
+        CheckResult(
+            "central_symmetry",
+            antipodal and bad.size == 0,
+            _first(bad),
+            int(bad.size),
+            "" if antipodal else "vertex rows m.. are not the negated rows ..m",
+        )
+    )
 
-    # One sweep over the (2m x F) slack matrix gives each facet's largest
-    # slack and the number of points on its hyperplane.
+    # One sweep over the (m x F) inner products G = P N^T of the base points
+    # gives each facet's largest slack and the number of points on its
+    # hyperplane.  A point and its antipode have slacks G - d and -G - d,
+    # so the larger is |G| - d, and their distances to the plane are
+    # ||G| - d| and |G| + d.
+    P = fc.vertices[:m]
     viol = np.empty(F)
     on_plane = np.empty(F, dtype=np.int64)
     for lo in range(0, F, _PLANE_CHUNK):
         hi = lo + _PLANE_CHUNK
-        slack = fc.vertices @ fc.normals[lo:hi].T - fc.dists[None, lo:hi]
-        viol[lo:hi] = slack.max(axis=0)
-        on_plane[lo:hi] = (np.abs(slack) <= COPLANARITY_TOL).sum(axis=0)
+        A = np.abs(P @ fc.normals[lo:hi].T)
+        d = fc.dists[lo:hi]
+        viol[lo:hi] = A.max(axis=0) - d
+        on_plane[lo:hi] = np.count_nonzero(
+            np.abs(A - d) <= COPLANARITY_TOL, axis=0
+        ) + np.count_nonzero(A + d <= COPLANARITY_TOL, axis=0)
     bad = np.flatnonzero(viol > CONTAINMENT_TOL)
     checks.append(
         CheckResult(

@@ -110,10 +110,16 @@ def facet_mean_square_pullback(vertices: np.ndarray) -> float:
 
 
 def facet_cross_sums(fc: FacetComplex) -> np.ndarray:
-    """Per facet, sum over ordered pairs i != j of <Q_i, Q_j>; shape (F,)."""
-    V = fc.facet_vertices()
-    s = V.sum(axis=1)
-    return np.einsum("fi,fi->f", s, s) - np.einsum("fki,fki->f", V, V)
+    """Per facet, sum over ordered pairs i != j of <Q_i, Q_j>; shape (F,).
+
+    Cached on the complex: the mean square and the per-trial maximum both
+    need it.
+    """
+    if fc._cross_sums is None:
+        V = fc.facet_vertices()
+        s = V.sum(axis=1)
+        fc._cross_sums = np.einsum("fi,fi->f", s, s) - np.einsum("fki,fki->f", V, V)
+    return fc._cross_sums
 
 
 def polytope_volume(fc: FacetComplex) -> float:

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import multiprocessing
+import os
 
 import pytest
 
@@ -12,6 +13,7 @@ from isohull.harness import (
     AlphaRule,
     CSV_COLUMNS,
     ConfigError,
+    EmitError,
     ExperimentConfig,
     TrialRecord,
     cell_points,
@@ -27,7 +29,12 @@ from isohull.harness import (
     records_from_jsonl,
     run_experiment,
     run_trial,
+    save_fixture,
 )
+from isohull.hull import symmetric_hull
+from isohull.isotropy import NotSPDError
+from isohull.moments import polytope_volume
+from isohull.sphere_stats import sample_symmetric_cloud
 
 
 def small_config(tmp_path, **overrides) -> ExperimentConfig:
@@ -146,6 +153,33 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="injected failure"):
             run_experiment(small_config(tmp_path, workers=2))
         assert multiprocessing.active_children() == []
+
+    def test_failing_stage_becomes_a_failure_row(self, tmp_path, monkeypatch):
+        # forked workers inherit the patched isotropy_constant; it fails on
+        # the volume of one trial's polytope and nowhere else
+        bad_seed = derive_seed(2024, [3, 6, 2])
+        bad_volume = polytope_volume(symmetric_hull(sample_symmetric_cloud(3, 6, bad_seed)))
+        real = harness.isotropy_constant
+
+        def failing(volume, cov):
+            if volume == bad_volume:
+                raise NotSPDError("injected failure")
+            return real(volume, cov)
+
+        monkeypatch.setattr(harness, "isotropy_constant", failing)
+        res = run_experiment(small_config(tmp_path, workers=2))
+        assert len(res.records) == 9
+        assert res.failures == [
+            {
+                "n": 3,
+                "m": 6,
+                "trial": 2,
+                "seed": bad_seed,
+                "error_type": "NotSPDError",
+                "error": "injected failure",
+            }
+        ]
+        assert res.summary["total_failures"] == 1
 
     def test_summary_content(self, tmp_path):
         res = run_experiment(small_config(tmp_path))
@@ -282,6 +316,21 @@ class TestEmit:
         emit_records([rec], tmp_path)
         text = (tmp_path / "records.csv").read_text()
         assert "0.33333333333333331" in text
+
+    def test_failed_replace_leaves_old_files(self, tmp_path, monkeypatch):
+        emit_records([self.make_record()], tmp_path)
+        save_fixture({"old": True}, tmp_path / "calibration.json")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def failing_replace(src, dst):
+            raise OSError("injected failure")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(EmitError):
+            emit_records([self.make_record(l_k=0.5)], tmp_path)
+        with pytest.raises(OSError):
+            save_fixture({"new": True}, tmp_path / "calibration.json")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_canonical_zeroes_timing(self):
         rec = self.make_record(wall_time_ms=12.5, oracle_deltas={"mean_square": 0.1})

@@ -5,11 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from isohull.hull import (
     DegenerateCloudError,
     FacetComplex,
     InvalidComplexError,
+    _pack_rows,
+    _ridges,
     dump_off_like,
     inradius,
     symmetric_hull,
@@ -65,13 +68,18 @@ class TestConstruction:
             assert facet_id_sets(fc) == brute_force_facets(sym)
 
     def test_no_degeneracies_in_random_sweep(self):
-        # the coplanarity check should never trip for generic sphere points
+        # the coplanarity check should never trip for generic sphere points;
+        # qhull without premerge (Q0) must give the facets of its default
+        # options, in lexicographic order
         count = 0
         for seed in range(1200):
             n = 2 + seed % 7  # dimensions 2..8
             m = n + 2 + (seed % 5)
             fc = random_complex(n, m, seed)
             assert validate_complex(fc).passed, (n, m, seed)
+            default = ConvexHull(fc.vertices)
+            assert facet_id_sets(fc) == {frozenset(map(int, s)) for s in default.simplices}
+            assert np.array_equal(np.lexsort(fc.vertex_ids.T[::-1]), np.arange(fc.facet_count))
             count += 1
         assert count == 1200
 
@@ -127,6 +135,18 @@ class TestValidation:
         assert not diag.check("containment").passed
         assert diag.check("containment").n_offending >= 1
 
+    def test_half_sweep_matches_full_slack_matrix(self):
+        # reference: the slack of all 2m points against every facet plane
+        fc = random_complex(5, 12, 323)
+        dists = fc.dists * np.linspace(0.9, 1.1, fc.facet_count)
+        mutant = dataclasses.replace(fc, dists=dists)
+        slack = fc.vertices @ fc.normals.T - dists
+        expected = np.flatnonzero(slack.max(axis=0) > 1e-9)
+        assert 0 < expected.size < fc.facet_count
+        check = validate_complex(mutant).check("containment")
+        assert check.n_offending == expected.size
+        assert check.offending == tuple(int(i) for i in expected[:16])
+
     def test_coplanar_point_fails_only_simplicial(self):
         # (0.5, 0.5) lies on the edge from (1, 0) to (0, 1): three points on
         # one facet line, which qhull merges and triangulates
@@ -134,6 +154,23 @@ class TestValidation:
         diag = validate_complex(fc)
         assert {c.name for c in diag.checks if not c.passed} == {"simplicial"}
         assert diag.check("simplicial").n_offending == 2  # the edge and its antipode
+
+    def test_sliced_ridge_keys_equal_packed_ridge_rows(self):
+        fc = random_complex(6, 15, 325)
+        two_m = fc.vertices.shape[0]
+        keys = _pack_rows(fc.vertex_ids, two_m)
+        rows = _ridges(fc.vertex_ids, None, two_m)
+        assert rows.shape == (fc.facet_count * 6, 5)
+        assert np.array_equal(_ridges(fc.vertex_ids, keys, two_m), _pack_rows(rows, two_m))
+
+    def test_nudged_antipode_fails_central_symmetry(self):
+        # the half-size plane sweep trusts row i + m == -row i exactly
+        fc = random_complex(4, 10, 324)
+        vertices = fc.vertices.copy()
+        vertices[fc.num_points + 3, 0] += 1e-6
+        mutant = dataclasses.replace(fc, vertices=vertices)
+        assert validate_complex(fc).check("central_symmetry").passed
+        assert not validate_complex(mutant).check("central_symmetry").passed
 
     def test_facets_pair_up_antipodally(self):
         fc = random_complex(3, 12, 123)
@@ -160,6 +197,44 @@ class TestValidation:
             G = np.einsum("fik,fjk->fij", E, E)
             gram = np.sqrt(np.maximum(np.linalg.det(G), 0.0)) / math.factorial(n - 1)
             assert np.abs(fc.volumes - gram).max() <= 1e-10 * gram.max()
+
+
+@pytest.fixture(scope="module")
+def unpacked() -> FacetComplex:
+    # 2m = 258 vertex ids need 9 bits each, so an 8-id facet key would need
+    # 72 bits: every key-based path falls back to rows of ids
+    rng = np.random.default_rng(8)
+    extra = rng.standard_normal((121, 8))
+    extra *= 0.1 / np.linalg.norm(extra, axis=1, keepdims=True)
+    fc = symmetric_hull(PointCloud(np.vstack([np.eye(8), extra])))
+    assert fc.vertices.shape[0] == 258 and fc.facet_count == 256
+    assert _pack_rows(fc.vertex_ids, 258) is None
+    return fc
+
+
+class TestUnpackedIds:
+    def test_valid_and_lexicographic(self, unpacked):
+        assert validate_complex(unpacked).passed
+        order = np.lexsort(unpacked.vertex_ids.T[::-1])
+        assert np.array_equal(order, np.arange(unpacked.facet_count))
+
+    def test_missing_facet_detected(self, unpacked):
+        mutant = dataclasses.replace(
+            unpacked,
+            vertex_ids=unpacked.vertex_ids[1:],
+            normals=unpacked.normals[1:],
+            dists=unpacked.dists[1:],
+            volumes=unpacked.volumes[1:],
+        )
+        diag = validate_complex(mutant)
+        assert diag.check("ridge_shared_twice").n_offending == 8
+        assert not diag.check("central_symmetry").passed
+
+    def test_nudged_antipode_fails_central_symmetry(self, unpacked):
+        vertices = unpacked.vertices.copy()
+        vertices[129 + 5, 2] += 1e-6
+        mutant = dataclasses.replace(unpacked, vertices=vertices)
+        assert not validate_complex(mutant).check("central_symmetry").passed
 
 
 class TestInradius:
