@@ -368,6 +368,21 @@ def _sort_key(r: TrialRecord):
     return (r.n, r.m, r.trial)
 
 
+# A trial that raises one of these becomes a failure row; the campaign goes
+# on.  Only degeneracy is resampled (inside run_trial).
+_TRIAL_FAILURES = (TrialError, InvalidComplexError, NotSPDError, np.linalg.LinAlgError)
+
+
+@contextlib.contextmanager
+def _stage(name: str):
+    """Tag a trial failure raised inside the block with the stage that raised it."""
+    try:
+        yield
+    except _TRIAL_FAILURES as exc:
+        exc.stage = name
+        raise
+
+
 def run_trial(
     n: int, m: int, seed: int, oracle_samples: int = 0, trial_index: int = 0
 ) -> TrialRecord:
@@ -377,6 +392,9 @@ def run_trial(
     retried with a fresh derived seed up to RESAMPLE_CAP attempts; the
     number of re-draws is recorded.  With ``oracle_samples`` > 0 the Monte
     Carlo oracle runs and its deltas are attached in standard-error units.
+    A trial failure carries the name of the stage that raised it in its
+    ``stage`` attribute: sample, hull, validate, moments, isotropy or
+    oracle.
     """
     if n < 2 or m <= n:
         raise ConfigError(f"need m > n >= 2, got (n={n}, m={m})")
@@ -385,40 +403,48 @@ def run_trial(
     resampled = 0
     fc = None
     for attempt in range(RESAMPLE_CAP):
-        cloud = sample_symmetric_cloud(n, m, attempt_seed)
-        try:
-            candidate = symmetric_hull(cloud)
-        except (DegenerateCloudError, DegenerateFacetError):
-            candidate = None
-        if candidate is not None and validate_complex(candidate).passed:
-            fc = candidate
-            break
+        with _stage("sample"):
+            cloud = sample_symmetric_cloud(n, m, attempt_seed)
+        with _stage("hull"):
+            try:
+                candidate = symmetric_hull(cloud)
+            except (DegenerateCloudError, DegenerateFacetError):
+                candidate = None
+        if candidate is not None:
+            with _stage("validate"):
+                if validate_complex(candidate).passed:
+                    fc = candidate
+                    break
         resampled += 1
         attempt_seed = derive_seed(seed, [attempt + 1])
     if fc is None:
-        raise TrialError(
-            f"degeneracy re-draw cap ({RESAMPLE_CAP} attempts) exceeded for "
-            f"(n={n}, m={m}, seed={seed})"
-        )
+        with _stage("hull" if candidate is None else "validate"):
+            raise TrialError(
+                f"degeneracy re-draw cap ({RESAMPLE_CAP} attempts) exceeded for "
+                f"(n={n}, m={m}, seed={seed})"
+            )
 
-    volume = polytope_volume(fc)
-    mean_square = polytope_mean_square(fc)
-    cov = polytope_covariance(fc)
-    trace = float(np.trace(cov))
-    if abs(trace - mean_square) > 1e-10 * max(mean_square, 1e-300):
-        raise TrialError(
-            f"trace/mean-square mismatch: {trace} vs {mean_square} "
-            f"at (n={n}, m={m}, seed={seed})"
-        )
-    rad = complex_inradius(fc)
-    max_cross = float(facet_cross_sums(fc).max())
-    report = isotropy_constant(volume, cov)
+    with _stage("moments"):
+        volume = polytope_volume(fc)
+        mean_square = polytope_mean_square(fc)
+        cov = polytope_covariance(fc)
+        trace = float(np.trace(cov))
+        if abs(trace - mean_square) > 1e-10 * max(mean_square, 1e-300):
+            raise TrialError(
+                f"trace/mean-square mismatch: {trace} vs {mean_square} "
+                f"at (n={n}, m={m}, seed={seed})"
+            )
+        rad = complex_inradius(fc)
+        max_cross = float(facet_cross_sums(fc).max())
+    with _stage("isotropy"):
+        report = isotropy_constant(volume, cov)
 
     deltas = None
     if oracle_samples > 0:
-        est = mc_moment_oracle(
-            fc, oracle_samples, RngStream(attempt_seed, (ORACLE_STREAM_LABEL,))
-        )
+        with _stage("oracle"):
+            est = mc_moment_oracle(
+                fc, oracle_samples, RngStream(attempt_seed, (ORACLE_STREAM_LABEL,))
+            )
         deltas = {
             "mean_square": (mean_square - est.mean_square) / est.mean_square_se,
             "covariance_max": float(
@@ -447,11 +473,6 @@ def run_trial(
     )
 
 
-# A trial that raises one of these becomes a failure row; the campaign goes
-# on.  Only degeneracy is resampled (inside run_trial).
-_TRIAL_FAILURES = (TrialError, InvalidComplexError, NotSPDError, np.linalg.LinAlgError)
-
-
 def _trial_task(task: tuple[int, int, int, int, int]):
     n, m, trial, seed, oracle_samples = task
     try:
@@ -464,6 +485,7 @@ def _trial_task(task: tuple[int, int, int, int, int]):
                 "m": m,
                 "trial": trial,
                 "seed": seed,
+                "stage": exc.stage,
                 "error_type": type(exc).__name__,
                 "error": str(exc),
             },
@@ -546,8 +568,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     Per-trial seeds are derive_seed(master, [n, m, trial]), fixed before
     dispatch, and results are sorted by (n, m, trial), so records are
     identical for any worker count.  Emitted records are canonicalized
-    (wall_time_ms = 0.0); aggregate timing goes to the logger only.
-    Individual trial failures are collected, not fatal.
+    (wall_time_ms = 0.0); timing goes to the logger only, as one INFO line
+    per finished cell (trials done, elapsed time and an ETA that assumes
+    every remaining trial costs the mean so far).  Individual trial
+    failures are collected, not fatal; each failure row names the stage
+    that raised.
     """
     config.validate()
     tasks = [
@@ -564,10 +589,22 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         else:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=config.workers))
             outcomes = pool.map(_trial_task, tasks)
+        # outcomes arrive in task order, so a cell is finished with its
+        # last trial
         for done, (status, payload) in enumerate(outcomes, start=1):
             (records if status == "ok" else failures).append(payload)
-            if done % 500 == 0:
-                log.info("campaign progress: %d/%d trials", done, len(tasks))
+            if done % config.trials == 0:
+                n, m = tasks[done - 1][:2]
+                elapsed = time.perf_counter() - t0
+                log.info(
+                    "cell (n=%d, m=%d) done: %d/%d trials, %.1f s elapsed, ETA %.1f s",
+                    n,
+                    m,
+                    done,
+                    len(tasks),
+                    elapsed,
+                    elapsed / done * (len(tasks) - done),
+                )
     elapsed = time.perf_counter() - t0
     log.info(
         "campaign finished: %d records, %d failures, %.1f s wall",

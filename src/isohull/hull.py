@@ -15,9 +15,19 @@ instead of perturbing coordinates.
 Each facet is identified by one key: its sorted vertex ids packed into a
 uint64 (when they fit), which orders facets lexicographically and from
 which every ridge key is sliced without materializing the ridges.  Row i
-+ m of the vertex table is the exact negation of row i; the containment
-sweep relies on that to visit only the m base points, and the
++ m of the vertex table is the exact negation of row i; the plane sweep
+relies on that to visit only the m base points, and the
 ``central_symmetry`` check fails any complex that breaks it.
+
+The body is centrally symmetric, so its facets come in antipodal pairs
+F, -F with equal (n-1)-volume, distance and cone moments.
+:meth:`FacetComplex.pairs` finds each facet's partner with one
+``searchsorted`` of the antipodal keys among the sorted facet keys and
+lists one representative per pair; facet volumes (here) and cone moments
+(:mod:`isohull.moments`) are computed for representatives only, in facet
+blocks of about ``_BLOCK_FLOATS`` float64s per temporary, so no
+(F, n, n) gather is ever held and no BLAS product is large enough to wake
+OpenBLAS threads.
 
 All facet geometry is stored as flat arrays (ids, normals, distances,
 (n-1)-volumes) to keep per-trial work vectorized.
@@ -26,6 +36,7 @@ All facet geometry is stored as flat arrays (ids, normals, distances,
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,9 +61,19 @@ SPAN_TOL = 1e-9
 COPLANARITY_TOL = 1e-9
 CONTAINMENT_TOL = 1e-9
 
-# facet-chunk size for point-vs-hyperplane sweeps; keeps the (2m x F)
-# slack matrix out of memory at campaign scale
-_PLANE_CHUNK = 16384
+# Float64s per temporary in every blocked facet pass (128 KB): a block of
+# (block, n, n) vertex coordinates or (block, m) plane products stays in
+# cache, and each matrix product in it does 2^14 * n multiply-adds, under
+# the 2^18 up to which OpenBLAS runs on one thread (for n < 16).  At
+# (n, m) = (8, 64) a block is 256 facets.
+_BLOCK_FLOATS = 1 << 14
+
+
+def facet_blocks(count: int, width: int) -> Iterator[slice]:
+    """Slices covering ``count`` facets, each with ``width`` floats per facet."""
+    step = max(1, _BLOCK_FLOATS // width)
+    for lo in range(0, count, step):
+        yield slice(lo, lo + step)
 
 
 class DegenerateCloudError(ValueError):
@@ -84,8 +105,9 @@ class FacetComplex:
     volumes: np.ndarray  # (F,) > 0
     source: PointCloud | None = None
     _cone_cdf: np.ndarray | None = field(default=None, init=False, repr=False)
-    _facet_coords: np.ndarray | None = field(default=None, init=False, repr=False)
-    _cross_sums: np.ndarray | None = field(default=None, init=False, repr=False)
+    _antipodes: np.ndarray | None = field(default=None, init=False, repr=False)
+    _pairs: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
+    _moments: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def facet_count(self) -> int:
@@ -98,13 +120,42 @@ class FacetComplex:
     def facet_vertices(self) -> np.ndarray:
         """Coordinates of every facet's vertices, shape (F, n, n).
 
-        The gather is cached (:func:`symmetric_hull` stores the one it made
-        for the facet volumes); at campaign scale it is tens of megabytes
-        and every moment computation needs it.
+        Gathered on each call and not kept: at campaign scale it is tens of
+        megabytes.  The trial path works on facet blocks instead.
         """
-        if self._facet_coords is None:
-            self._facet_coords = self.vertices[self.vertex_ids]
-        return self._facet_coords
+        return self.vertices[self.vertex_ids]
+
+    def antipodes(self) -> np.ndarray:
+        """Index of each facet's antipodal facet, or -1 where it is absent.
+
+        Cached.  Facets must be in key order, as :func:`symmetric_hull`
+        leaves them.
+        """
+        if self._antipodes is None:
+            two_m = self.vertices.shape[0]
+            keys = _pack_rows(self.vertex_ids, two_m)
+            self._antipodes = _antipodal_partners(self.vertex_ids, keys, two_m)
+        return self._antipodes
+
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(representative, partner) facet indices, one entry per antipodal pair.
+
+        Cached.  The representative is the facet of the pair that comes
+        first in key order.  Raises :class:`InvalidComplexError` when the
+        facets do not pair up.
+        """
+        if self._pairs is None:
+            partner = self.antipodes()
+            own = np.arange(partner.size)
+            if (
+                np.any(partner < 0)
+                or np.any(partner == own)
+                or not np.array_equal(partner[partner], own)
+            ):
+                raise InvalidComplexError("facets do not come in antipodal pairs")
+            rep = np.flatnonzero(partner > own)
+            self._pairs = (rep, partner[rep])
+        return self._pairs
 
     def cone_volumes(self) -> np.ndarray:
         """Volume of each cone conv(0, facet): dist * facet_volume / n."""
@@ -115,23 +166,14 @@ class FacetComplex:
         return bool(np.all(np.abs(norms - 1.0) <= tol))
 
 
-def _simplex_facet_volumes(V: np.ndarray, dists: np.ndarray, n: int) -> np.ndarray:
-    # (n-1)-volume through the cone determinant: the simplex conv(0, F) has
-    # volume |det[Q_1 ... Q_n]| / n! = dist * |F| / n, so
-    # |F| = |det V| / ((n-1)! * dist).  Equivalent to the Gram-determinant
-    # form sqrt(det G)/(n-1)! but in one batched determinant and without
-    # squaring the conditioning (the tests pin the two routes together).
-    det = np.abs(np.linalg.det(V))
-    return det / (math.factorial(n - 1) * dists)
-
-
 def symmetric_hull(cloud: PointCloud) -> FacetComplex:
     """Facet complex of the convex hull of the 2m symmetrized points.
 
     Requires the cloud to span R^n (rank checked at tolerance 1e-9 on the
     singular values).  Raises :class:`DegenerateFacetError` when qhull
-    fails or a facet plane passes through the origin or has zero volume;
-    callers treat that as a resample event.  Coplanar points are not
+    fails, a facet plane passes through the origin or has zero volume, or
+    the facets do not come in antipodal pairs; callers treat that as a
+    resample event.  Coplanar points are not
     checked here; :func:`validate_complex` reports them.  Accepts
     general-position non-unit inputs (the transformed-cloud path).
     """
@@ -163,23 +205,36 @@ def symmetric_hull(cloud: PointCloud) -> FacetComplex:
             "degenerate: perturbation required (facet plane through origin)"
         )
 
-    coords = sym[ids]
-    volumes = _simplex_facet_volumes(coords, dists, n)
-    if np.any(volumes <= 1e-14):
-        raise DegenerateFacetError(
-            "degenerate: perturbation required (zero-volume facet)"
-        )
-
     fc = FacetComplex(
         n=n,
         vertices=sym,
         vertex_ids=ids,
         normals=normals,
         dists=dists,
-        volumes=volumes,
+        volumes=np.empty(ids.shape[0]),
         source=cloud,
     )
-    fc._facet_coords = coords
+    try:
+        rep, partner = fc.pairs()
+    except InvalidComplexError as exc:
+        raise DegenerateFacetError(f"degenerate: perturbation required ({exc})") from exc
+
+    # (n-1)-volume through the cone determinant: the simplex conv(0, F) has
+    # volume |det[Q_1 ... Q_n]| / n! = dist * |F| / n, so
+    # |F| = |det V| / ((n-1)! * dist).  Equivalent to the Gram-determinant
+    # form sqrt(det G)/(n-1)! but without squaring the conditioning (the
+    # tests pin the two routes together).  The antipodal facet has the
+    # same volume.
+    volumes = fc.volumes
+    scale = math.factorial(n - 1)
+    for blk in facet_blocks(rep.size, n * n):
+        r = rep[blk]
+        volumes[r] = np.abs(np.linalg.det(sym[ids[r]])) / (scale * dists[r])
+    volumes[partner] = volumes[rep]
+    if np.any(volumes <= 1e-14):
+        raise DegenerateFacetError(
+            "degenerate: perturbation required (zero-volume facet)"
+        )
     return fc
 
 
@@ -276,20 +331,21 @@ def _all_keys_paired(keys: np.ndarray) -> bool:
     return bool(np.all(odd[:-1] != even[1:]))
 
 
-def _match_rows(items: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Index into ``items`` of each query, or -1 when absent.
+def _antipodal_partners(
+    vertex_ids: np.ndarray, keys: np.ndarray | None, id_bound: int
+) -> np.ndarray:
+    """Index of each facet's antipodal facet, or -1 when it is absent.
 
-    Items and queries are both packed keys or both rows of ids.
+    With packed keys (sorted, as facets are kept in key order) this is one
+    ``searchsorted`` of the antipodal keys; otherwise a lookup of id rows.
     """
-    if items.ndim == 2:
-        lookup = {tuple(r): i for i, r in enumerate(items.tolist())}
-        return np.array([lookup.get(tuple(q), -1) for q in queries.tolist()], dtype=np.int64)
-    order = np.argsort(items, kind="stable")
-    sk = items[order]
-    pos = np.searchsorted(sk, queries)
-    pos = np.minimum(pos, sk.size - 1)
-    found = sk[pos] == queries
-    return np.where(found, order[pos], -1)
+    anti = np.sort((vertex_ids + id_bound // 2) % id_bound, axis=1)
+    if keys is None:
+        lookup = {tuple(r): i for i, r in enumerate(vertex_ids.tolist())}
+        return np.array([lookup.get(tuple(q), -1) for q in anti.tolist()], dtype=np.int64)
+    anti_keys = _pack_rows(anti, id_bound)
+    pos = np.minimum(np.searchsorted(keys, anti_keys), keys.size - 1)
+    return np.where(keys[pos] == anti_keys, pos, -1)
 
 
 def _first(idx: np.ndarray, limit: int = 16) -> tuple[int, ...]:
@@ -315,9 +371,41 @@ def validate_complex(fc: FacetComplex) -> ComplexDiagnostics:
     two_m = fc.vertices.shape[0]
     m = two_m // 2
 
-    V = fc.facet_vertices()
-    residual = np.abs(np.einsum("fkj,fj->fk", V, fc.normals) - fc.dists[:, None])
-    bad = np.flatnonzero(residual.max(axis=1) > CONTAINMENT_TOL)
+    # One sweep over blocks of the facet-major inner products G = N P^T of
+    # every facet normal with the m base points.  Vertex id i is base point
+    # i % m, negated for i >= m, so the facet's own vertices read their
+    # plane residuals from G.  A point and its antipode have slacks G - d
+    # and -G - d, so the larger is |G| - d, and their distances to the
+    # plane are ||G| - d| and |G| + d; these give each facet's largest
+    # slack and the number of points on its hyperplane.  The same blocks
+    # compare each facet's normal with its antipodal facet's.
+    P = fc.vertices[:m]
+    partner = fc.antipodes()
+    residual = np.empty(F)
+    holds_antipodes = np.empty(F, dtype=bool)
+    flip = np.empty(F)
+    viol = np.empty(F)
+    on_plane = np.empty(F, dtype=np.int64)
+    for blk in facet_blocks(F, m):
+        ids = fc.vertex_ids[blk]
+        base = ids % m
+        sorted_base = np.sort(base, axis=1)
+        holds_antipodes[blk] = (sorted_base[:, 1:] == sorted_base[:, :-1]).any(axis=1)
+        flip[blk] = np.abs(fc.normals[blk] + fc.normals[partner[blk]]).max(axis=1)
+        G = fc.normals[blk] @ P.T
+        d = fc.dists[blk, None]
+        own = np.take_along_axis(G, base, axis=1)
+        own = np.where(ids < m, own, -own) - d
+        residual[blk] = np.abs(own, out=own).max(axis=1)
+        A = np.abs(G, out=G)
+        on_plane[blk] = 0
+        if d.min() <= COPLANARITY_TOL:  # else |G| + d > tol everywhere
+            on_plane[blk] = np.count_nonzero(A + d <= COPLANARITY_TOL, axis=1)
+        A -= d
+        viol[blk] = A.max(axis=1)
+        on_plane[blk] += np.count_nonzero(np.abs(A, out=A) <= COPLANARITY_TOL, axis=1)
+
+    bad = np.flatnonzero(residual > CONTAINMENT_TOL)
     checks.append(
         CheckResult(
             "vertex_on_plane",
@@ -328,9 +416,7 @@ def validate_complex(fc: FacetComplex) -> ComplexDiagnostics:
         )
     )
 
-    mod = np.sort(fc.vertex_ids % m, axis=1)
-    dup = (mod[:, 1:] == mod[:, :-1]).any(axis=1)
-    bad = np.flatnonzero(dup)
+    bad = np.flatnonzero(holds_antipodes)
     checks.append(CheckResult("no_antipodal_pair", bad.size == 0, _first(bad), int(bad.size)))
 
     dist_ok = fc.dists > 0.0
@@ -360,21 +446,12 @@ def validate_complex(fc: FacetComplex) -> ComplexDiagnostics:
             )
         )
 
-    # Row i + m must be the exact negation of row i (the plane sweep below
-    # visits only the first m rows), and facets must pair up antipodally
-    # with negated normals.
+    # Row i + m must be the exact negation of row i (the sweep visits only
+    # the first m rows), and facets must pair up antipodally with negated
+    # normals.  qhull's own normals of both facets are compared, so this
+    # tests geometry independent of the pairing.
     antipodal = np.array_equal(fc.vertices[m:], -fc.vertices[:m])
-    anti_ids = np.sort((fc.vertex_ids + m) % two_m, axis=1)
-    if keys is None:
-        partner = _match_rows(fc.vertex_ids, anti_ids)
-    else:
-        partner = _match_rows(keys, _pack_rows(anti_ids, two_m))
-    sym_ok = partner >= 0
-    if np.any(sym_ok):
-        has = np.flatnonzero(sym_ok)
-        flipped = fc.normals[partner[has]] + fc.normals[has]
-        sym_ok[has] &= np.abs(flipped).max(axis=1) <= CONTAINMENT_TOL
-    bad = np.flatnonzero(~sym_ok)
+    bad = np.flatnonzero((partner < 0) | (flip > CONTAINMENT_TOL))
     checks.append(
         CheckResult(
             "central_symmetry",
@@ -385,22 +462,6 @@ def validate_complex(fc: FacetComplex) -> ComplexDiagnostics:
         )
     )
 
-    # One sweep over the (m x F) inner products G = P N^T of the base points
-    # gives each facet's largest slack and the number of points on its
-    # hyperplane.  A point and its antipode have slacks G - d and -G - d,
-    # so the larger is |G| - d, and their distances to the plane are
-    # ||G| - d| and |G| + d.
-    P = fc.vertices[:m]
-    viol = np.empty(F)
-    on_plane = np.empty(F, dtype=np.int64)
-    for lo in range(0, F, _PLANE_CHUNK):
-        hi = lo + _PLANE_CHUNK
-        A = np.abs(P @ fc.normals[lo:hi].T)
-        d = fc.dists[lo:hi]
-        viol[lo:hi] = A.max(axis=0) - d
-        on_plane[lo:hi] = np.count_nonzero(
-            np.abs(A - d) <= COPLANARITY_TOL, axis=0
-        ) + np.count_nonzero(A + d <= COPLANARITY_TOL, axis=0)
     bad = np.flatnonzero(viol > CONTAINMENT_TOL)
     checks.append(
         CheckResult(

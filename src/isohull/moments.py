@@ -14,6 +14,16 @@ standard simplex formula
 
 s = sum_k v_k, which reduces to the scalar decomposition on the trace.
 
+The facets of the symmetric body come in antipodal pairs F, -F whose cones
+have the same volume, cross sum and second-moment matrix.  One cached pass
+per complex runs over blocks of one representative facet per pair
+(:meth:`FacetComplex.pairs`, :func:`isohull.hull.facet_blocks`): it gathers
+the block's vertex coordinates, computes their cross sums (copied to the
+partners) and accumulates the cone second-moment matrix, which is then
+doubled.  The volume and the mean square are likewise doubled sums over
+representatives.  A complex whose facets do not pair raises
+:class:`InvalidComplexError` here.
+
 A Monte Carlo oracle (rejection volume for n <= 5, exact in-polytope
 sampling for the moments) provides an independent cross-check of every
 exact path.
@@ -26,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hull import FacetComplex, InvalidComplexError
+from .hull import FacetComplex, InvalidComplexError, facet_blocks
 from .sphere_stats import RngStream, ball_volume
 
 __all__ = [
@@ -109,62 +119,78 @@ def facet_mean_square_pullback(vertices: np.ndarray) -> float:
     return total
 
 
+def _facet_pass(fc: FacetComplex) -> tuple[np.ndarray, np.ndarray]:
+    """(per-facet cross sums (F,), cone second-moment sum (n, n)); cached.
+
+    One pass over blocks of representative facets; the partner of each
+    representative gets its cross sum, and the second-moment sum counts
+    every pair twice.
+    """
+    if fc._moments is None:
+        n = fc.n
+        rep, partner = fc.pairs()
+        cross = np.empty(fc.facet_count)
+        second = np.zeros((n, n))
+        w_rep = fc.dists[rep] * fc.volumes[rep] / (n * (n + 1.0) * (n + 2.0))
+        for blk in facet_blocks(rep.size, n * n):
+            V = fc.vertices[fc.vertex_ids[rep[blk]]]
+            s = V.sum(axis=1)
+            cross[rep[blk]] = np.einsum("fi,fi->f", s, s) - np.einsum("fki,fki->f", V, V)
+            # sum_f w_f (sum_k v v^T + s s^T) as two flat matrix products
+            w = w_rep[blk]
+            second += V.reshape(-1, n).T @ (V * w[:, None, None]).reshape(-1, n)
+            second += s.T @ (s * w[:, None])
+        cross[partner] = cross[rep]
+        fc._moments = (cross, 2.0 * second)
+    return fc._moments
+
+
 def facet_cross_sums(fc: FacetComplex) -> np.ndarray:
     """Per facet, sum over ordered pairs i != j of <Q_i, Q_j>; shape (F,).
 
-    Cached on the complex: the mean square and the per-trial maximum both
-    need it.
+    Read from the cached facet pass: the mean square and the per-trial
+    maximum both need it.
     """
-    if fc._cross_sums is None:
-        V = fc.facet_vertices()
-        s = V.sum(axis=1)
-        fc._cross_sums = np.einsum("fi,fi->f", s, s) - np.einsum("fki,fki->f", V, V)
-    return fc._cross_sums
+    return _facet_pass(fc)[0]
 
 
 def polytope_volume(fc: FacetComplex) -> float:
-    """|K| from the cone decomposition: (1/n) sum_i dist_i * |F_i|."""
-    vol = float(np.sum(fc.dists * fc.volumes)) / fc.n
+    """|K| from the cone decomposition: (1/n) sum_i dist_i * |F_i|.
+
+    Summed over one facet per antipodal pair and doubled.
+    """
+    rep, _ = fc.pairs()
+    vol = 2.0 * float(np.sum(fc.dists[rep] * fc.volumes[rep])) / fc.n
     if vol <= 0.0:
         raise InvalidComplexError(f"non-positive volume {vol}")
     return vol
 
 
-def _facet_mean_squares(fc: FacetComplex) -> np.ndarray:
-    # Vectorized closed form; valid only for unit vertices.
-    n = fc.n
-    return 2.0 / (n + 1) + facet_cross_sums(fc) / (n * (n + 1))
-
-
 def polytope_mean_square(fc: FacetComplex) -> float:
     """(1/|K|) int_K |x|^2 dx, exactly, for unit-vertex complexes.
 
-    Sums dist_i/(n+2) * |F_i| * facet_mean_square_i over facets and
-    divides by the volume.  General-vertex complexes must go through
+    Sums dist_i/(n+2) * |F_i| * facet_mean_square_i over one facet per
+    antipodal pair, doubles it and divides by the volume.  Each facet mean
+    square is the closed form 2/(n+1) + cross_i/(n(n+1)), valid only for
+    unit vertices; general-vertex complexes must go through
     trace(polytope_covariance) instead.
     """
     _check_unit(fc.vertices)
     n = fc.n
-    contrib = fc.dists / (n + 2.0) * fc.volumes * _facet_mean_squares(fc)
-    return float(contrib.sum()) / polytope_volume(fc)
+    rep, _ = fc.pairs()
+    fms = 2.0 / (n + 1) + facet_cross_sums(fc)[rep] / (n * (n + 1))
+    contrib = fc.dists[rep] / (n + 2.0) * fc.volumes[rep] * fms
+    return 2.0 * float(contrib.sum()) / polytope_volume(fc)
 
 
 def polytope_covariance(fc: FacetComplex) -> np.ndarray:
     """(1/|K|) int_K x x^T dx for a symmetric polytope, any vertex norms.
 
-    Accumulates the cone second-moment matrices facet by facet.  The
-    result must be symmetric positive-definite; a Cholesky failure marks
-    the complex as degenerate.
+    The sum of the cone second-moment matrices comes from the cached facet
+    pass.  The result must be symmetric positive-definite; a Cholesky
+    failure marks the complex as degenerate.
     """
-    n = fc.n
-    V = fc.facet_vertices()
-    s = V.sum(axis=1)
-    w = fc.cone_volumes() / ((n + 1.0) * (n + 2.0))
-    # sum_f w_f (sum_k v v^T + s s^T) as two flat matrix products
-    flat = V.reshape(-1, n)
-    weighted = (V * w[:, None, None]).reshape(-1, n)
-    second = flat.T @ weighted + s.T @ (s * w[:, None])
-    cov = second / polytope_volume(fc)
+    cov = _facet_pass(fc)[1] / polytope_volume(fc)
     cov = 0.5 * (cov + cov.T)
     try:
         np.linalg.cholesky(cov)

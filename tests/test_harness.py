@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import logging
 import math
 import multiprocessing
 import os
+import re
 
 import pytest
 
@@ -31,7 +33,7 @@ from isohull.harness import (
     run_trial,
     save_fixture,
 )
-from isohull.hull import symmetric_hull
+from isohull.hull import CheckResult, ComplexDiagnostics, InvalidComplexError, symmetric_hull
 from isohull.isotropy import NotSPDError
 from isohull.moments import polytope_volume
 from isohull.sphere_stats import sample_symmetric_cloud
@@ -175,11 +177,56 @@ class TestRunExperiment:
                 "m": 6,
                 "trial": 2,
                 "seed": bad_seed,
+                "stage": "isotropy",
                 "error_type": "NotSPDError",
                 "error": "injected failure",
             }
         ]
         assert res.summary["total_failures"] == 1
+
+    @pytest.mark.parametrize(
+        "name, stage",
+        [
+            ("sample_symmetric_cloud", "sample"),
+            ("symmetric_hull", "hull"),
+            ("validate_complex", "validate"),
+            ("polytope_covariance", "moments"),
+            ("isotropy_constant", "isotropy"),
+            ("mc_moment_oracle", "oracle"),
+        ],
+    )
+    def test_failure_row_names_its_stage(self, monkeypatch, name, stage):
+        def failing(*args, **kwargs):
+            raise InvalidComplexError("injected failure")
+
+        monkeypatch.setattr(harness, name, failing)
+        status, row = harness._trial_task((3, 6, 0, 11, 100))
+        assert status == "failed"
+        assert row["stage"] == stage
+
+    def test_degeneracy_cap_names_the_last_failing_stage(self, monkeypatch):
+        failed = ComplexDiagnostics((CheckResult("simplicial", False),))
+        monkeypatch.setattr(harness, "validate_complex", lambda fc: failed)
+        status, row = harness._trial_task((3, 6, 0, 11, 0))
+        assert (status, row["error_type"], row["stage"]) == ("failed", "TrialError", "validate")
+
+    def test_progress_logged_once_per_cell(self, tmp_path, caplog):
+        out = tmp_path / "out"
+        names = ("records.csv", "records.jsonl", "summary.json")
+        quiet = run_experiment(small_config(tmp_path))
+        quiet_bytes = [(out / name).read_bytes() for name in names]
+        with caplog.at_level(logging.INFO, logger="isohull"):
+            logged = run_experiment(small_config(tmp_path))
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("cell ")]
+        assert len(lines) == 2
+        assert re.fullmatch(
+            r"cell \(n=2, m=4\) done: 5/10 trials, [0-9.]+ s elapsed, ETA [0-9.]+ s", lines[0]
+        )
+        assert lines[1].startswith("cell (n=3, m=6) done: 10/10 trials,")
+        assert lines[1].endswith("ETA 0.0 s")
+        # timing goes to the log only
+        assert [(out / name).read_bytes() for name in names] == quiet_bytes
+        assert quiet.summary == logged.summary
 
     def test_summary_content(self, tmp_path):
         res = run_experiment(small_config(tmp_path))

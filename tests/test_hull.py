@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
+from isohull import hull
 from isohull.hull import (
     DegenerateCloudError,
+    DegenerateFacetError,
     FacetComplex,
     InvalidComplexError,
+    _antipodal_partners,
     _pack_rows,
     _ridges,
     dump_off_like,
@@ -181,6 +184,27 @@ class TestValidation:
             anti = frozenset(int((i + two_m // 2) % two_m) for i in row)
             assert anti in ids
 
+    def test_pairs_list_each_pair_once(self):
+        fc = random_complex(4, 11, 125)
+        rep, partner = fc.pairs()
+        two_m = fc.vertices.shape[0]
+        assert rep.size == fc.facet_count // 2
+        assert np.all(rep < partner)
+        assert np.array_equal(np.sort(np.concatenate([rep, partner])), np.arange(fc.facet_count))
+        anti = np.sort((fc.vertex_ids[rep] + two_m // 2) % two_m, axis=1)
+        assert np.array_equal(fc.vertex_ids[partner], anti)
+        assert np.array_equal(fc.volumes[partner], fc.volumes[rep])
+        # the row lookup used when ids do not pack finds the same partners
+        assert np.array_equal(_antipodal_partners(fc.vertex_ids, None, two_m), fc.antipodes())
+
+    def test_unpaired_hull_is_a_resample_event(self, monkeypatch):
+        def unpaired(vertex_ids, keys, id_bound):
+            return np.full(vertex_ids.shape[0], -1)
+
+        monkeypatch.setattr(hull, "_antipodal_partners", unpaired)
+        with pytest.raises(DegenerateFacetError, match="antipodal pairs"):
+            random_complex(3, 8, 126)
+
     def test_cone_measure_positive(self):
         fc = random_complex(5, 12, 5)
         assert float(np.sum(fc.dists * fc.volumes)) > 0.0
@@ -215,6 +239,7 @@ def unpacked() -> FacetComplex:
 class TestUnpackedIds:
     def test_valid_and_lexicographic(self, unpacked):
         assert validate_complex(unpacked).passed
+        assert unpacked.pairs()[0].size == 128
         order = np.lexsort(unpacked.vertex_ids.T[::-1])
         assert np.array_equal(order, np.arange(unpacked.facet_count))
 

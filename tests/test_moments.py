@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from isohull import hull
+from isohull.harness import run_trial
 from isohull.moments import (
     REJECTION_MAX_DIM,
     UnitVertexError,
+    facet_cross_sums,
     facet_mean_square,
     facet_mean_square_pullback,
     mc_moment_oracle,
@@ -19,7 +24,7 @@ from isohull.moments import (
     simplex_pair_moment,
 )
 from isohull.moments import _sample_batch
-from isohull.hull import symmetric_hull
+from isohull.hull import FacetComplex, InvalidComplexError, symmetric_hull, validate_complex
 from isohull.sphere_stats import PointCloud, RngStream
 from conftest import cross_polytope_complex, random_complex
 from oracles import GAUSSIAN_4SIGMA_P, segment_mean_square
@@ -216,3 +221,86 @@ class TestOracle:
         assert a.mean_square == b.mean_square
         assert np.array_equal(a.covariance, b.covariance)
         assert a.volume == b.volume
+
+
+def gathered_reference(fc) -> dict:
+    """Every facet quantity over all F facets at once, from one (F, n, n) gather."""
+    n = fc.n
+    V = fc.facet_vertices()
+    s = V.sum(axis=1)
+    cross = np.einsum("fi,fi->f", s, s) - np.einsum("fki,fki->f", V, V)
+    volumes = np.abs(np.linalg.det(V)) / (math.factorial(n - 1) * fc.dists)
+    volume = float(np.sum(fc.dists * volumes)) / n
+    fms = 2.0 / (n + 1) + cross / (n * (n + 1))
+    mean_square = float(np.sum(fc.dists / (n + 2.0) * volumes * fms)) / volume
+    w = fc.dists * volumes / n / ((n + 1.0) * (n + 2.0))
+    second = V.reshape(-1, n).T @ (V * w[:, None, None]).reshape(-1, n) + s.T @ (s * w[:, None])
+    return {
+        "volumes": volumes,
+        "volume": volume,
+        "mean_square": mean_square,
+        "covariance": second / volume,
+        "cross": cross,
+    }
+
+
+def block_of(pairs: int, case: str) -> int:
+    """Facets per block that put ``pairs`` below, on or off a block multiple."""
+    if case == "below":
+        return pairs + 1
+    if case == "on":
+        return next(b for b in range(pairs // 2, 0, -1) if pairs % b == 0)
+    return next(b for b in range(pairs // 3 + 1, pairs) if pairs % b)
+
+
+class TestFacetPass:
+    @pytest.mark.parametrize("n, m, seed", [(2, 7, 1), (3, 9, 2), (5, 12, 3), (8, 20, 4)])
+    @pytest.mark.parametrize("case", ["below", "on", "off", "default"])
+    def test_matches_full_gather(self, n, m, seed, case, monkeypatch):
+        pairs = random_complex(n, m, seed).facet_count // 2
+        if case != "default":
+            monkeypatch.setattr(hull, "_BLOCK_FLOATS", block_of(pairs, case) * n * n)
+        fc = random_complex(n, m, seed)
+        ref = gathered_reference(fc)
+        np.testing.assert_allclose(fc.volumes, ref["volumes"], rtol=1e-12, atol=0)
+        assert polytope_volume(fc) == pytest.approx(ref["volume"], rel=1e-12)
+        assert polytope_mean_square(fc) == pytest.approx(ref["mean_square"], rel=1e-12)
+        cov = polytope_covariance(fc)
+        assert np.abs(cov - ref["covariance"]).max() <= 1e-12 * np.abs(cov).max()
+        np.testing.assert_allclose(facet_cross_sums(fc), ref["cross"], rtol=1e-12, atol=1e-12 * n)
+
+    def test_unpaired_facets_raise(self, octahedron):
+        mutant = dataclasses.replace(
+            octahedron,
+            vertex_ids=octahedron.vertex_ids[1:],
+            normals=octahedron.normals[1:],
+            dists=octahedron.dists[1:],
+            volumes=octahedron.volumes[1:],
+        )
+        moments = (polytope_volume, polytope_mean_square, polytope_covariance, facet_cross_sums)
+        for moment in moments:
+            with pytest.raises(InvalidComplexError, match="antipodal pairs"):
+                moment(mutant)
+
+    def test_no_full_gather_in_validation_and_moments(self):
+        # the largest temporary must stay below one (F, n, n) float64 gather
+        n, m = 8, 64
+        fc = random_complex(n, m, 5)
+        tracemalloc.start()
+        try:
+            validate_complex(fc)
+            polytope_volume(fc)
+            polytope_mean_square(fc)
+            polytope_covariance(fc)
+            facet_cross_sums(fc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < fc.facet_count * n * n * 8
+
+    def test_trial_path_never_gathers(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("facet_vertices() called on the trial path")
+
+        monkeypatch.setattr(FacetComplex, "facet_vertices", refuse)
+        assert run_trial(6, 18, 6).facet_count > 0
