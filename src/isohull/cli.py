@@ -18,6 +18,8 @@ import numpy as np
 
 from . import __version__
 from .harness import (
+    DEFAULT_MASTER_SEED,
+    DEFAULT_TRIALS,
     AlphaRule,
     ConfigError,
     EmitError,
@@ -39,6 +41,7 @@ from .hull import (
     DegenerateFacetError,
     InvalidComplexError,
     dump_off_like,
+    inradius,
     symmetric_hull,
     validate_complex,
 )
@@ -101,8 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="run the pilot campaign and write fixtures")
     p.add_argument("--out", type=str, default=None, help="fixture path (default: packaged)")
-    p.add_argument("--trials", type=int, default=None, help="trials per cell")
-    p.add_argument("--seed", type=int, default=None, help="master seed")
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS, help="trials per cell")
+    p.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED, help="master seed")
     p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
 
     p = sub.add_parser("check", help="re-run the three bound checks on a record file")
@@ -146,7 +149,7 @@ def _cmd_hull(args) -> int:
             "n": fc.n,
             "m": fc.num_points,
             "facet_count": fc.facet_count,
-            "inradius": float(fc.dists.min()),
+            "inradius": inradius(fc),
             "validation": diag.to_dict(),
         }
     )
@@ -198,12 +201,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    kwargs = {"workers": args.workers}
-    if args.trials is not None:
-        kwargs["trials"] = args.trials
-    if args.seed is not None:
-        kwargs["master_seed"] = args.seed
-    fixture = run_calibration(**kwargs)
+    fixture = run_calibration(args.trials, args.seed, args.workers)
     path = save_fixture(fixture, args.out)
     _emit({"fixture": str(path), "a_hat": fixture["psi2"]["a_hat"],
            "c_star": fixture["campaign"]["c_star"]})

@@ -56,6 +56,7 @@ from .moments import (
 )
 from .sphere_stats import (
     RngStream,
+    ball_volume,
     bernstein_bound,
     cap_tail_prob,
     derive_seed,
@@ -122,12 +123,22 @@ DEFAULT_RATIOS = (1.5, 2.0, 3.0, 8.0)
 DEFAULT_TRIALS = 200
 DEFAULT_MASTER_SEED = 424242
 
-# Dedicated seeds for the deterministic calibration procedures that do not
+RECORDS_BASENAME = "records"
+
+# Seeds and grids of the deterministic calibration procedures that do not
 # go through the campaign grid.
 PSI2_CAL_SEED = 711019
-BERNSTEIN_CAL_SEED = 815321
 PSI2_CAL_DIMS = (2, 8, 32, 64)
 PSI2_CAL_SAMPLES = 100_000
+BERNSTEIN_CAL_SEED = 815321
+BERNSTEIN_CAL_DIMS = (2, 8, 32)
+BERNSTEIN_CAL_COUNTS = (16, 64)
+BERNSTEIN_CAL_EPS = (0.5, 1.0)
+BERNSTEIN_CAL_REPLICATIONS = 4000
+STIRLING_CAL_DIMS = tuple(range(2, 65))
+STIRLING_CAL_ORDERS = tuple(range(1, 65))
+SMALL_CAP_CAL_DIMS = (2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64)
+SMALL_CAP_CAL_EPS_FRACTIONS = (0.1, 0.25, 0.5, 0.75, 1.0)
 
 
 class ConfigError(ValueError):
@@ -236,61 +247,56 @@ class ExperimentConfig:
     def from_json_dict(cls, obj: dict) -> "ExperimentConfig":
         if not isinstance(obj, dict):
             raise ConfigError("config must be a JSON object")
-        known = {
-            "grid",
-            "trials",
-            "master_seed",
-            "oracle_samples",
-            "alpha_rule",
-            "output_dir",
-            "emit",
-            "workers",
-        }
-        unknown = set(obj) - known
+        # the accepted keys are the ones to_json_dict writes
+        unknown = set(obj) - set(cls(grid=()).to_json_dict())
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "grid" not in obj:
             raise ConfigError("config requires a 'grid' entry")
-        grid: list[tuple[int, int]] = []
-        for item in obj["grid"]:
-            if isinstance(item, dict):
-                n = int(item["n"])
-                if "m" in item:
-                    grid.append((n, int(item["m"])))
-                elif "ratio" in item:
-                    grid.append((n, cell_points(n, float(item["ratio"]))))
+        # A value of the wrong type or shape (int("abc"), a grid entry
+        # without "n", a scalar where a list or object belongs) is a
+        # ConfigError like any other invalid config.
+        try:
+            grid: list[tuple[int, int]] = []
+            for item in obj["grid"]:
+                if isinstance(item, dict):
+                    n = int(item["n"])
+                    if "m" in item:
+                        grid.append((n, int(item["m"])))
+                    elif "ratio" in item:
+                        grid.append((n, cell_points(n, float(item["ratio"]))))
+                    else:
+                        raise ConfigError(f"grid entry needs 'm' or 'ratio': {item!r}")
                 else:
-                    raise ConfigError(f"grid entry needs 'm' or 'ratio': {item!r}")
-            else:
-                pair = list(item)
-                if len(pair) != 2:
-                    raise ConfigError(f"grid entry must be a pair: {item!r}")
-                grid.append((int(pair[0]), int(pair[1])))
-        emit = obj.get("emit", {"csv": True, "jsonl": True})
-        if isinstance(emit, str):
-            emit = {"csv": emit in ("csv", "both"), "jsonl": emit in ("jsonl", "both")}
-        cfg = cls(
-            grid=tuple(grid),
-            trials=int(obj.get("trials", DEFAULT_TRIALS)),
-            master_seed=int(obj.get("master_seed", DEFAULT_MASTER_SEED)),
-            oracle_samples=int(obj.get("oracle_samples", 0)),
-            alpha_rule=AlphaRule.from_json(obj.get("alpha_rule")),
-            output_dir=obj.get("output_dir"),
-            emit_csv=bool(emit.get("csv", True)),
-            emit_jsonl=bool(emit.get("jsonl", True)),
-            workers=int(obj.get("workers", 1)),
-        )
+                    pair = list(item)
+                    if len(pair) != 2:
+                        raise ConfigError(f"grid entry must be a pair: {item!r}")
+                    grid.append((int(pair[0]), int(pair[1])))
+            emit = obj.get("emit", {"csv": True, "jsonl": True})
+            if isinstance(emit, str):
+                emit = {"csv": emit in ("csv", "both"), "jsonl": emit in ("jsonl", "both")}
+            cfg = cls(
+                grid=tuple(grid),
+                trials=int(obj.get("trials", DEFAULT_TRIALS)),
+                master_seed=int(obj.get("master_seed", DEFAULT_MASTER_SEED)),
+                oracle_samples=int(obj.get("oracle_samples", 0)),
+                alpha_rule=AlphaRule.from_json(obj.get("alpha_rule")),
+                output_dir=obj.get("output_dir"),
+                emit_csv=bool(emit.get("csv", True)),
+                emit_jsonl=bool(emit.get("jsonl", True)),
+                workers=int(obj.get("workers", 1)),
+            )
+        except ConfigError:
+            raise
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed config: {type(exc).__name__}: {exc}") from exc
         cfg.validate()
         return cfg
 
     def content_hash(self) -> str:
         """Hash of the record-determining part of the config (not paths/workers)."""
-        payload = {
-            "grid": [[n, m] for n, m in self.grid],
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "oracle_samples": self.oracle_samples,
-        }
+        keys = ("grid", "trials", "master_seed", "oracle_samples")
+        payload = {k: v for k, v in self.to_json_dict().items() if k in keys}
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
@@ -299,14 +305,12 @@ def default_experiment_config(
     output_dir: str | None = None,
     trials: int = DEFAULT_TRIALS,
     master_seed: int = DEFAULT_MASTER_SEED,
-    oracle_samples: int = 0,
     workers: int = 1,
 ) -> ExperimentConfig:
     return ExperimentConfig(
         grid=tuple(default_grid()),
         trials=trials,
         master_seed=master_seed,
-        oracle_samples=oracle_samples,
         output_dir=output_dir,
         workers=workers,
     )
@@ -337,19 +341,19 @@ class TrialRecord:
     wall_time_ms: float
     oracle_deltas: dict | None = field(default=None, compare=False)
 
+    def _texts(self) -> list[str]:
+        """Each column's canonical text, in CSV_COLUMNS order."""
+        return [
+            str(int(getattr(self, c))) if c in _INT_COLUMNS else _fmt(getattr(self, c))
+            for c in CSV_COLUMNS
+        ]
+
     def to_csv_row(self) -> str:
-        vals = []
-        for col in CSV_COLUMNS:
-            v = getattr(self, col)
-            vals.append(str(int(v)) if col in _INT_COLUMNS else _fmt(v))
-        return ",".join(vals)
+        return ",".join(self._texts())
 
     def to_json_line(self) -> str:
-        parts = []
-        for col in CSV_COLUMNS:
-            v = getattr(self, col)
-            parts.append(f'"{col}": {int(v) if col in _INT_COLUMNS else _fmt(v)}')
-        return "{" + ", ".join(parts) + "}"
+        pairs = zip(CSV_COLUMNS, self._texts())
+        return "{" + ", ".join(f'"{col}": {text}' for col, text in pairs) + "}"
 
     @classmethod
     def from_values(cls, values: dict) -> "TrialRecord":
@@ -394,7 +398,8 @@ def run_trial(
     Carlo oracle runs and its deltas are attached in standard-error units.
     A trial failure carries the name of the stage that raised it in its
     ``stage`` attribute: sample, hull, validate, moments, isotropy or
-    oracle.
+    oracle; a covariance that is not positive-definite fails at isotropy
+    (``NotSPDError``).
     """
     if n < 2 or m <= n:
         raise ConfigError(f"need m > n >= 2, got (n={n}, m={m})")
@@ -503,13 +508,7 @@ class ExperimentResult:
 
 def _quantiles(values: np.ndarray) -> dict:
     qs = np.quantile(values, [0.0, 0.25, 0.5, 0.75, 1.0])
-    return {
-        "min": float(qs[0]),
-        "q25": float(qs[1]),
-        "median": float(qs[2]),
-        "q75": float(qs[3]),
-        "max": float(qs[4]),
-    }
+    return dict(zip(("min", "q25", "median", "q75", "max"), map(float, qs)))
 
 
 def _cell_groups(records: Sequence[TrialRecord]) -> dict[tuple[int, int], list[TrialRecord]]:
@@ -657,7 +656,6 @@ def emit_records(
     output_dir: str | Path,
     csv: bool = True,
     jsonl: bool = True,
-    basename: str = "records",
 ) -> dict:
     """Write records in canonical (n, m, trial) order; returns written paths.
 
@@ -671,13 +669,13 @@ def emit_records(
     try:
         out.mkdir(parents=True, exist_ok=True)
         if csv:
-            path = out / f"{basename}.csv"
+            path = out / f"{RECORDS_BASENAME}.csv"
             lines = [",".join(CSV_COLUMNS)]
             lines += [r.to_csv_row() for r in ordered]
             _write_atomic(path, "\n".join(lines) + "\n")
             paths["csv"] = str(path)
         if jsonl:
-            path = out / f"{basename}.jsonl"
+            path = out / f"{RECORDS_BASENAME}.jsonl"
             _write_atomic(path, "".join(r.to_json_line() + "\n" for r in ordered))
             paths["jsonl"] = str(path)
     except OSError as exc:
@@ -689,19 +687,14 @@ def records_from_csv(path: str | Path) -> list[TrialRecord]:
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != ",".join(CSV_COLUMNS):
         raise ValueError(f"unexpected CSV header in {path}")
-    records = []
-    for line in lines[1:]:
-        values = dict(zip(CSV_COLUMNS, line.split(",")))
-        records.append(TrialRecord.from_values(values))
-    return records
+    return [
+        TrialRecord.from_values(dict(zip(CSV_COLUMNS, line.split(",")))) for line in lines[1:]
+    ]
 
 
 def records_from_jsonl(path: str | Path) -> list[TrialRecord]:
-    records = []
-    for line in Path(path).read_text().splitlines():
-        if line.strip():
-            records.append(TrialRecord.from_values(json.loads(line)))
-    return records
+    lines = Path(path).read_text().splitlines()
+    return [TrialRecord.from_values(json.loads(line)) for line in lines if line.strip()]
 
 
 # ---------------------------------------------------------------------------
@@ -821,42 +814,31 @@ def save_fixture(fixture: dict, path: str | Path | None = None) -> Path:
     return p
 
 
-def psi2_sphere_estimates(
-    dims: Sequence[int] = PSI2_CAL_DIMS,
-    sample_count: int = PSI2_CAL_SAMPLES,
-    seed: int = PSI2_CAL_SEED,
-) -> dict[int, float]:
-    """Empirical psi_2 norms of sqrt(n) <P, theta> per dimension.
+def psi2_sphere_estimates() -> dict[int, float]:
+    """Empirical psi_2 norms of sqrt(n) <P, theta> per PSI2_CAL_DIMS dimension.
 
     Uses theta = e_1 (rotation invariance makes the direction immaterial)
     and a per-dimension derived stream, so results are reproducible.
     """
     out = {}
-    for n in dims:
-        stream = RngStream(seed, (n,))
-        g = np.asarray(stream.gaussian((sample_count, n)))
+    for n in PSI2_CAL_DIMS:
+        stream = RngStream(PSI2_CAL_SEED, (n,))
+        g = np.asarray(stream.gaussian((PSI2_CAL_SAMPLES, n)))
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         out[int(n)] = psi2_norm_estimate(math.sqrt(n) * g[:, 0])
     return out
 
 
-def bernstein_tail_table(
-    a_hat: float,
-    dims: Sequence[int] = (2, 8, 32),
-    counts: Sequence[int] = (16, 64),
-    eps_grid: Sequence[float] = (0.5, 1.0),
-    replications: int = 4000,
-    seed: int = BERNSTEIN_CAL_SEED,
-) -> list[dict]:
-    """Empirical tails of |sum sqrt(n) <P_i, theta>| > eps N vs the bound."""
+def bernstein_tail_table(a_hat: float) -> list[dict]:
+    """Empirical tails of |sum sqrt(n) <P_i, theta>| > eps N vs the bound (BERNSTEIN_CAL_*)."""
     rows = []
-    for n in dims:
-        for N in counts:
-            stream = RngStream(seed, (n, N))
-            g = np.asarray(stream.gaussian((replications, N, n)))
+    for n in BERNSTEIN_CAL_DIMS:
+        for N in BERNSTEIN_CAL_COUNTS:
+            stream = RngStream(BERNSTEIN_CAL_SEED, (n, N))
+            g = np.asarray(stream.gaussian((BERNSTEIN_CAL_REPLICATIONS, N, n)))
             g /= np.linalg.norm(g, axis=2, keepdims=True)
             sums = math.sqrt(n) * g[:, :, 0].sum(axis=1)
-            for eps in eps_grid:
+            for eps in BERNSTEIN_CAL_EPS:
                 tail = float(np.mean(np.abs(sums) > eps * N))
                 bound = bernstein_bound(N, eps, a_hat)
                 rows.append(
@@ -871,11 +853,9 @@ def bernstein_tail_table(
     return rows
 
 
-def stirling_moment_band(
-    n_values: Sequence[int] = tuple(range(2, 65)),
-    q_values: Sequence[int] = tuple(range(1, 65)),
-) -> dict:
-    """Range of sphere_abs_moment(n, q)^{1/q} / sqrt(q / (q + n)) over a grid."""
+def stirling_moment_band() -> dict:
+    """Range of sphere_abs_moment(n, q)^{1/q} / sqrt(q / (q + n)), STIRLING_CAL_* grid."""
+    n_values, q_values = STIRLING_CAL_DIMS, STIRLING_CAL_ORDERS
     lo, hi = math.inf, -math.inf
     for n in n_values:
         for q in q_values:
@@ -892,27 +872,23 @@ def stirling_moment_band(
     }
 
 
-def small_cap_constant(
-    n_values: Sequence[int] = (2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64),
-    eps_fractions: Sequence[float] = (0.1, 0.25, 0.5, 0.75, 1.0),
-) -> dict:
+def small_cap_constant() -> dict:
     """Fit c with 1 - cap_tail_prob(n, eps) <= c sqrt(n) eps for eps <= 1/sqrt(n).
 
-    For n >= 3 the ratio is largest as eps -> 0 where it equals the density
-    of <P, theta> at zero over sqrt(n); including that analytic candidate
-    makes the fitted constant valid for every eps, not just grid points.
+    Over the SMALL_CAP_CAL_* grid.  For n >= 3 the ratio is largest as eps
+    -> 0 where it equals the density of <P, theta> at zero over sqrt(n);
+    including that analytic candidate makes the fitted constant valid for
+    every eps, not just grid points.
     """
-    from .sphere_stats import ball_volume
-
     worst = 0.0
-    for n in n_values:
+    for n in SMALL_CAP_CAL_DIMS:
         density0 = 2.0 * (n - 1) * ball_volume(n - 1) / (n * ball_volume(n))
         worst = max(worst, density0 / math.sqrt(n))
-        for frac in eps_fractions:
+        for frac in SMALL_CAP_CAL_EPS_FRACTIONS:
             eps = frac / math.sqrt(n)
             band = 1.0 - cap_tail_prob(n, eps)
             worst = max(worst, band / (math.sqrt(n) * eps))
-    return {"c": worst, "n_values": list(map(int, n_values))}
+    return {"c": worst, "n_values": list(SMALL_CAP_CAL_DIMS)}
 
 
 def _cells_list(values: dict[tuple[int, int], float]) -> list[list]:
@@ -1023,12 +999,7 @@ def build_fingerprint() -> dict:
     return fingerprint
 
 
-def run_calibration(
-    trials: int = DEFAULT_TRIALS,
-    master_seed: int = DEFAULT_MASTER_SEED,
-    workers: int = 1,
-    output_dir: str | Path | None = None,
-) -> dict:
+def run_calibration(trials: int, master_seed: int, workers: int) -> dict:
     """Run the pilot campaign and fit every frozen constant.
 
     Returns the fixture dict (see ``save_fixture``); the campaign's emitted
@@ -1036,7 +1007,9 @@ def run_calibration(
     assert byte-stable output without re-reading the pilot files.  Those
     bytes hold only within one build, so the fixture also names its build
     (``provenance.build``, see ``build_fingerprint``) and stores per-cell,
-    per-column ``record_digests`` that locate a mismatch.
+    per-column ``record_digests`` that locate a mismatch.  The per-cell
+    figures (``l_k_max``, ``c_emp``, inradius violations, ``growth_stat``)
+    are read from the campaign summary, the one place they are computed.
     """
     psi2 = psi2_sphere_estimates()
     a_hat = 1.05 * max(psi2.values())
@@ -1048,26 +1021,22 @@ def run_calibration(
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        out = Path(output_dir) if output_dir is not None else Path(tmp)
         config = default_experiment_config(
-            output_dir=str(out), trials=trials, master_seed=master_seed, workers=workers
+            output_dir=tmp, trials=trials, master_seed=master_seed, workers=workers
         )
         result = run_experiment(config)
         csv_hash = hashlib.sha256(Path(result.paths["csv"]).read_bytes()).hexdigest()
         jsonl_hash = hashlib.sha256(Path(result.paths["jsonl"]).read_bytes()).hexdigest()
 
     records = result.records
-    lk_max = max(r.l_k for r in records)
+    cells = result.summary["cells"]
+    lk_max = max(c["l_k_max"] for c in cells)
     c_star = 1.05 * lk_max
-    second = check_second_moment_bound(records)
-    c_emp_cells = {(c["n"], c["m"]): c["c_emp"] for c in second["cells"]}
+    c_emp_cells = {(c["n"], c["m"]): c["c_emp"] for c in cells}
     slice_cells = {
         (n, m): v for (n, m), v in c_emp_cells.items() if 4 <= n <= 8 and m == 3 * n
     }
-    inr = check_inradius_bound(records, config.alpha_rule)
-    growth = {
-        (c["n"], c["m"]): c["growth_stat"] for c in result.summary["cells"]
-    }
+    growth = {(c["n"], c["m"]): c["growth_stat"] for c in cells}
     fractions = check_isotropy_threshold(records, c_star)
 
     fixture = {
@@ -1106,7 +1075,7 @@ def run_calibration(
                 "hi": max(slice_cells.values()),
             },
             "inradius_violations": [
-                [c["n"], c["m"], c["violations"]] for c in inr
+                [c["n"], c["m"], c["inradius_check"]["violations"]] for c in cells
             ],
             "growth_stat": {
                 "cells": _cells_list(growth),

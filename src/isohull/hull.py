@@ -1,8 +1,9 @@
 """Boundary facet complex of the symmetric hull conv{+-P_1, ..., +-P_m}.
 
-Construction runs qhull over all 2m symmetrized points with no symmetry
-shortcuts and without premerging (qhull option ``Q0``; scipy adds ``Qt``,
-so every facet comes back as a simplex).  Random sphere points are in
+Construction runs qhull (Barber, Dobkin & Huhdanpaa, ACM TOMS 22(4),
+1996) over all 2m symmetrized points with no symmetry shortcuts and
+without premerging (qhull option ``Q0``; scipy adds ``Qt``, so every facet
+comes back as a simplex).  Random sphere points are in
 general position with probability one, so there is nothing to merge, and
 on the default campaign ``Q0`` gives the same facet sets as qhull's
 defaults at a fraction of the cost.  Central symmetry, ridge pairing,
@@ -31,10 +32,14 @@ OpenBLAS threads.
 
 All facet geometry is stored as flat arrays (ids, normals, distances,
 (n-1)-volumes) to keep per-trial work vectorized.
+:class:`InvalidComplexError` is a structural fault; a covariance that is
+not positive-definite is ``NotSPDError`` from the one SPD gate,
+:func:`isohull.isotropy.isotropy_constant`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -60,6 +65,8 @@ __all__ = [
 SPAN_TOL = 1e-9
 COPLANARITY_TOL = 1e-9
 CONTAINMENT_TOL = 1e-9
+UNIT_VERTEX_TOL = 1e-9
+OFFENDING_LIMIT = 16  # facet indices a check reports
 
 # Float64s per temporary in every blocked facet pass (128 KB): a block of
 # (block, n, n) vertex coordinates or (block, m) plane products stays in
@@ -161,9 +168,9 @@ class FacetComplex:
         """Volume of each cone conv(0, facet): dist * facet_volume / n."""
         return self.dists * self.volumes / self.n
 
-    def is_unit(self, tol: float = 1e-9) -> bool:
+    def is_unit(self) -> bool:
         norms = np.linalg.norm(self.vertices, axis=1)
-        return bool(np.all(np.abs(norms - 1.0) <= tol))
+        return bool(np.all(np.abs(norms - 1.0) <= UNIT_VERTEX_TOL))
 
 
 def symmetric_hull(cloud: PointCloud) -> FacetComplex:
@@ -193,13 +200,17 @@ def symmetric_hull(cloud: PointCloud) -> FacetComplex:
     except QhullError as exc:
         raise DegenerateFacetError(f"degenerate: perturbation required ({exc})") from exc
 
-    ids = np.sort(qh.simplices.astype(np.int64), axis=1)
+    # qhull's arrays are read once (int32 rows sorted, then widened; normals
+    # and distances taken through the key order) and qhull's object is
+    # dropped before the pairing and volume pass: a second full copy alive
+    # next to qhull's own used to set the trial's memory peak.
+    ids = np.sort(qh.simplices, axis=1).astype(np.int64)
     keys = _pack_rows(ids, sym.shape[0])
     order = np.lexsort(ids.T[::-1]) if keys is None else np.argsort(keys)
     ids = ids[order]
-    equations = qh.equations[order]
-    normals = np.ascontiguousarray(equations[:, :n])
-    dists = -equations[:, n]
+    normals = qh.equations[order, :n]
+    dists = -qh.equations[order, n]
+    del qh, keys, order
     if np.any(dists <= 1e-12):
         raise DegenerateFacetError(
             "degenerate: perturbation required (facet plane through origin)"
@@ -265,14 +276,7 @@ class ComplexDiagnostics:
         return {
             "passed": self.passed,
             "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "offending": list(c.offending),
-                    "n_offending": c.n_offending,
-                    "detail": c.detail,
-                }
-                for c in self.checks
+                {**dataclasses.asdict(c), "offending": list(c.offending)} for c in self.checks
             ],
         }
 
@@ -348,8 +352,8 @@ def _antipodal_partners(
     return np.where(keys[pos] == anti_keys, pos, -1)
 
 
-def _first(idx: np.ndarray, limit: int = 16) -> tuple[int, ...]:
-    return tuple(int(i) for i in idx[:limit])
+def _first(idx: np.ndarray) -> tuple[int, ...]:
+    return tuple(int(i) for i in idx[:OFFENDING_LIMIT])
 
 
 def validate_complex(fc: FacetComplex) -> ComplexDiagnostics:
@@ -366,6 +370,13 @@ def validate_complex(fc: FacetComplex) -> ComplexDiagnostics:
     decomposition has positive total measure.
     """
     checks: list[CheckResult] = []
+
+    def check(name: str, bad: np.ndarray, detail: str = "", n_offending: int | None = None):
+        # A check that fails at the facet indices ``bad``; ``n_offending``
+        # defaults to their count.
+        count = bad.size if n_offending is None else n_offending
+        checks.append(CheckResult(name, count == 0, _first(bad), int(count), detail))
+
     F = fc.facet_count
     n = fc.n
     two_m = fc.vertices.shape[0]
@@ -405,46 +416,32 @@ def validate_complex(fc: FacetComplex) -> ComplexDiagnostics:
         viol[blk] = A.max(axis=1)
         on_plane[blk] += np.count_nonzero(np.abs(A, out=A) <= COPLANARITY_TOL, axis=1)
 
-    bad = np.flatnonzero(residual > CONTAINMENT_TOL)
-    checks.append(
-        CheckResult(
-            "vertex_on_plane",
-            bad.size == 0,
-            _first(bad),
-            int(bad.size),
-            f"max residual {residual.max():.3e}" if F else "",
-        )
+    check(
+        "vertex_on_plane",
+        np.flatnonzero(residual > CONTAINMENT_TOL),
+        f"max residual {residual.max():.3e}" if F else "",
     )
-
-    bad = np.flatnonzero(holds_antipodes)
-    checks.append(CheckResult("no_antipodal_pair", bad.size == 0, _first(bad), int(bad.size)))
+    check("no_antipodal_pair", np.flatnonzero(holds_antipodes))
 
     dist_ok = fc.dists > 0.0
     if fc.is_unit():
         dist_ok &= fc.dists <= 1.0 + CONTAINMENT_TOL
-    bad = np.flatnonzero(~dist_ok)
-    checks.append(CheckResult("distance_in_range", bad.size == 0, _first(bad), int(bad.size)))
+    check("distance_in_range", np.flatnonzero(~dist_ok))
 
     # Every (n-1)-subset of a facet is a ridge and must appear in exactly
-    # two facets.
+    # two facets; the count is of offending ridge slots.
     keys = _pack_rows(fc.vertex_ids, two_m)
     ridges = _ridges(fc.vertex_ids, keys, two_m)
     if keys is not None and _all_keys_paired(ridges):
-        checks.append(CheckResult("ridge_shared_twice", True))
+        bad_ridges = np.empty(0, dtype=np.int64)
     else:
         bad_ridges = np.flatnonzero(_multiset_counts(ridges) != 2)
-        bad_facets = np.unique(bad_ridges % F)
-        checks.append(
-            CheckResult(
-                "ridge_shared_twice",
-                bad_ridges.size == 0,
-                _first(bad_facets),
-                int(bad_ridges.size),
-                f"{bad_ridges.size} ridge slots with count != 2"
-                if bad_ridges.size
-                else "",
-            )
-        )
+    check(
+        "ridge_shared_twice",
+        np.unique(bad_ridges % F),
+        f"{bad_ridges.size} ridge slots with count != 2" if bad_ridges.size else "",
+        bad_ridges.size,
+    )
 
     # Row i + m must be the exact negation of row i (the sweep visits only
     # the first m rows), and facets must pair up antipodally with negated
@@ -462,25 +459,15 @@ def validate_complex(fc: FacetComplex) -> ComplexDiagnostics:
         )
     )
 
-    bad = np.flatnonzero(viol > CONTAINMENT_TOL)
-    checks.append(
-        CheckResult(
-            "containment",
-            bad.size == 0,
-            _first(bad),
-            int(bad.size),
-            f"max slack {viol.max():.3e}" if F else "",
-        )
+    check(
+        "containment",
+        np.flatnonzero(viol > CONTAINMENT_TOL),
+        f"max slack {viol.max():.3e}" if F else "",
     )
-    bad = np.flatnonzero(on_plane > n)
-    checks.append(
-        CheckResult(
-            "simplicial",
-            bad.size == 0,
-            _first(bad),
-            int(bad.size),
-            f"up to {on_plane.max()} points on one facet plane" if F else "",
-        )
+    check(
+        "simplicial",
+        np.flatnonzero(on_plane > n),
+        f"up to {on_plane.max()} points on one facet plane" if F else "",
     )
 
     total = float(np.sum(fc.dists * fc.volumes))

@@ -12,8 +12,9 @@ the body; their gap measures how far the covariance is from a multiple of
 the identity.
 
 The determinant comes from numpy's Cholesky factor, with a pivot guard
-that rejects near-singular covariances, and the symmetric inverse square
-root from numpy's ``eigh``.
+that rejects near-singular covariances; it is the pipeline's one SPD gate
+(:func:`isohull.moments.polytope_covariance` does not factorize).  The
+symmetric inverse square root comes from numpy's ``eigh``.
 """
 
 from __future__ import annotations
@@ -61,6 +62,8 @@ def isotropy_constant(volume: float, covariance: np.ndarray) -> IsotropyReport:
     sqrt(trace(covariance) / (n volume^{2/n})), so l_k <= identity_bound
     always, with equality exactly when the covariance is isotropic.
     Both quantities are invariant under rotations and scalings of the body.
+    Raises :class:`NotSPDError` when the covariance is not symmetric, its
+    Cholesky fails or a pivot is at or below PIVOT_TOL.
     """
     if volume <= 0.0:
         raise ValueError(f"volume must be positive, got {volume}")

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hull import FacetComplex, InvalidComplexError, facet_blocks
+from .hull import UNIT_VERTEX_TOL, FacetComplex, InvalidComplexError, facet_blocks
 from .sphere_stats import RngStream, ball_volume
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "REJECTION_MAX_DIM",
 ]
 
-UNIT_VERTEX_TOL = 1e-9
 REJECTION_MAX_DIM = 5
 
 _MEMBERSHIP_TOL = 1e-9
@@ -187,16 +186,11 @@ def polytope_covariance(fc: FacetComplex) -> np.ndarray:
     """(1/|K|) int_K x x^T dx for a symmetric polytope, any vertex norms.
 
     The sum of the cone second-moment matrices comes from the cached facet
-    pass.  The result must be symmetric positive-definite; a Cholesky
-    failure marks the complex as degenerate.
+    pass, divided by the volume and symmetrized.  No factorization is done
+    here: :func:`isohull.isotropy.isotropy_constant` is the one SPD gate.
     """
     cov = _facet_pass(fc)[1] / polytope_volume(fc)
-    cov = 0.5 * (cov + cov.T)
-    try:
-        np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise InvalidComplexError("covariance is not positive-definite") from exc
-    return cov
+    return 0.5 * (cov + cov.T)
 
 
 def _cone_cdf(fc: FacetComplex) -> np.ndarray:

@@ -6,8 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import isohull
 from isohull.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from isohull.harness import ConfigError, ExperimentConfig
 
 
 def run_main(capsys, *argv):
@@ -110,6 +113,41 @@ class TestExperiment:
             capsys, "experiment", "--config", str(tmp_path / "nope.json")
         )
         assert code == EXIT_IO
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"grid": [[2, 4]], "emit": ["csv"]},
+            {"grid": [[2, 4]], "trials": "abc"},
+            {"grid": [{"m": 4}]},
+            {"grid": [3]},
+            {"grid": 5},
+        ],
+        ids=["emit-list", "trials-text", "grid-entry-without-n", "grid-entry-scalar", "grid-scalar"],
+    )
+    def test_malformed_config_is_config_error(self, capsys, tmp_path, config):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_json_dict(config)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        code, _, err = run_main(capsys, "experiment", "--config", str(cfg_path))
+        assert code == EXIT_USAGE
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
+
+    def test_every_accepted_config_form_parses(self):
+        config = ExperimentConfig.from_json_dict(
+            {
+                "grid": [[2, 4], {"n": 3, "m": 6}, {"n": 4, "ratio": 2}, ("5", 7.0)],
+                "trials": "3",
+                "emit": "csv",
+            }
+        )
+        assert config.grid == ((2, 4), (3, 6), (4, 8), (5, 7))
+        assert config.trials == 3
+        assert (config.emit_csv, config.emit_jsonl) == (True, False)
+        config = ExperimentConfig.from_json_dict({"grid": [[2, 4]], "emit": {"jsonl": False}})
+        assert (config.emit_csv, config.emit_jsonl) == (True, False)
 
 
 class TestCheck:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from isohull.hull import (
     symmetric_hull,
     validate_complex,
 )
+from isohull.harness import derive_seed
 from isohull.sphere_stats import PointCloud, sample_symmetric_cloud
 from conftest import random_complex
 from oracles import brute_force_facets
@@ -234,6 +236,21 @@ def unpacked() -> FacetComplex:
     assert fc.vertices.shape[0] == 258 and fc.facet_count == 256
     assert _pack_rows(fc.vertex_ids, 258) is None
     return fc
+
+
+def test_symmetric_hull_traced_peak_at_the_heavy_cell():
+    # qhull's arrays are read once and dropped before the pairing pass; a
+    # second full copy of simplices or equations alive with qhull's own
+    # puts the peak near F * n^2 * 8 bytes again.
+    n, m = 8, 64
+    cloud = sample_symmetric_cloud(n, m, derive_seed(424242, [n, m, 1]))
+    tracemalloc.start()
+    try:
+        fc = symmetric_hull(cloud)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.75 * fc.facet_count * n * n * 8
 
 
 class TestUnpackedIds:

@@ -12,7 +12,7 @@ from isohull.isotropy import (
     isotropic_transform,
     isotropy_constant,
 )
-from isohull.moments import polytope_covariance, polytope_volume
+from isohull.moments import _facet_pass, polytope_covariance, polytope_volume
 from isohull.sphere_stats import RngStream
 from isohull.hull import inradius
 from conftest import cross_polytope_complex, random_complex
@@ -63,6 +63,17 @@ class TestCholeskyDet:
     def test_rejects_tiny_pivot(self):
         with pytest.raises(NotSPDError):
             det_cov(np.diag([1.0, 1e-15]))
+
+    def test_is_the_one_spd_gate(self):
+        # polytope_covariance only symmetrizes; an indefinite second-moment
+        # sum reaches isotropy_constant, which rejects it
+        fc = random_complex(3, 9, 5)
+        cross, second = _facet_pass(fc)
+        fc._moments = (cross, -second)
+        cov = polytope_covariance(fc)
+        assert np.array_equal(cov, cov.T)
+        with pytest.raises(NotSPDError):
+            isotropy_constant(polytope_volume(fc), cov)
 
 
 class TestIsotropyConstant:
