@@ -221,12 +221,7 @@ def _cmd_check(args) -> int:
     report = {
         "inradius": check_inradius_bound(records, rule),
         "second_moment": check_second_moment_bound(records),
-        "lk_threshold": check_isotropy_threshold(
-            records,
-            fixture["campaign"]["c_star"],
-            fixture["campaign"]["lk_threshold"]["c1"],
-            fixture["campaign"]["lk_threshold"]["c2"],
-        ),
+        "lk_threshold": check_isotropy_threshold(records, fixture["campaign"]["c_star"]),
         "c_star": fixture["campaign"]["c_star"],
     }
     _emit(report)

@@ -116,6 +116,10 @@ CSV_COLUMNS = (
 _INT_COLUMNS = {"n", "m", "trial", "seed", "facet_count", "resampled"}
 
 RESAMPLE_CAP = 8
+# Constants of the reference bound shape 1 - c1 exp(-c2 n min(1, log(m/n)))
+# next to the isotropy-threshold fractions; only the shape is meaningful.
+LK_SHAPE_C1 = 1.0
+LK_SHAPE_C2 = 1.0
 ORACLE_STREAM_LABEL = 1
 
 DEFAULT_DIMS = tuple(range(2, 9))
@@ -195,9 +199,18 @@ class AlphaRule:
     def from_json(cls, obj) -> "AlphaRule":
         if obj in (None, "default"):
             return cls()
-        if isinstance(obj, dict) and set(obj) == {"fixed"}:
+        if isinstance(obj, dict) and set(obj) == {"fixed"} and not isinstance(obj["fixed"], bool):
             return cls("fixed", float(obj["fixed"]))
         raise ConfigError(f"cannot parse alpha rule from {obj!r}")
+
+
+def _config_int(value, what: str) -> int:
+    """An int, an integral float or an integer string; never a bool."""
+    if isinstance(value, float) and value.is_integer() or (
+        isinstance(value, (int, str)) and not isinstance(value, bool)
+    ):
+        return int(value)  # a non-integer string raises ValueError
+    raise ConfigError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -230,6 +243,8 @@ class ExperimentConfig:
             raise ConfigError("master_seed must be a 64-bit unsigned integer")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        if not isinstance(self.output_dir, (str, os.PathLike, type(None))):
+            raise ConfigError(f"output_dir must be a path string, got {self.output_dir!r}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -253,42 +268,45 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "grid" not in obj:
             raise ConfigError("config requires a 'grid' entry")
-        # A value of the wrong type or shape (int("abc"), a grid entry
-        # without "n", a scalar where a list or object belongs) is a
-        # ConfigError like any other invalid config.
+        # A value of the wrong type or shape (int("abc"), 2.7 or true for an
+        # integer, a grid entry without "n", a scalar where a list or object
+        # belongs) is a ConfigError like any other invalid config.
         try:
             grid: list[tuple[int, int]] = []
             for item in obj["grid"]:
                 if isinstance(item, dict):
-                    n = int(item["n"])
+                    n = _config_int(item["n"], "grid n")
                     if "m" in item:
-                        grid.append((n, int(item["m"])))
-                    elif "ratio" in item:
+                        grid.append((n, _config_int(item["m"], "grid m")))
+                    elif "ratio" in item and not isinstance(item["ratio"], bool):
                         grid.append((n, cell_points(n, float(item["ratio"]))))
                     else:
-                        raise ConfigError(f"grid entry needs 'm' or 'ratio': {item!r}")
+                        raise ConfigError(f"grid entry needs 'm' or a numeric 'ratio': {item!r}")
+                elif isinstance(item, (list, tuple)) and len(item) == 2:
+                    grid.append((_config_int(item[0], "grid n"), _config_int(item[1], "grid m")))
                 else:
-                    pair = list(item)
-                    if len(pair) != 2:
-                        raise ConfigError(f"grid entry must be a pair: {item!r}")
-                    grid.append((int(pair[0]), int(pair[1])))
-            emit = obj.get("emit", {"csv": True, "jsonl": True})
-            if isinstance(emit, str):
-                emit = {"csv": emit in ("csv", "both"), "jsonl": emit in ("jsonl", "both")}
+                    raise ConfigError(f"grid entry must be a pair: {item!r}")
+            emit = obj.get("emit", "both")
+            if emit in ("csv", "jsonl", "both"):
+                emit = {"csv": emit != "jsonl", "jsonl": emit != "csv"}
+            if not isinstance(emit, dict) or set(emit) - {"csv", "jsonl"} or any(
+                not isinstance(v, bool) for v in emit.values()
+            ):
+                raise ConfigError(f"emit must be csv, jsonl, both or csv/jsonl booleans: {emit!r}")
             cfg = cls(
                 grid=tuple(grid),
-                trials=int(obj.get("trials", DEFAULT_TRIALS)),
-                master_seed=int(obj.get("master_seed", DEFAULT_MASTER_SEED)),
-                oracle_samples=int(obj.get("oracle_samples", 0)),
+                trials=_config_int(obj.get("trials", DEFAULT_TRIALS), "trials"),
+                master_seed=_config_int(obj.get("master_seed", DEFAULT_MASTER_SEED), "master_seed"),
+                oracle_samples=_config_int(obj.get("oracle_samples", 0), "oracle_samples"),
                 alpha_rule=AlphaRule.from_json(obj.get("alpha_rule")),
                 output_dir=obj.get("output_dir"),
-                emit_csv=bool(emit.get("csv", True)),
-                emit_jsonl=bool(emit.get("jsonl", True)),
-                workers=int(obj.get("workers", 1)),
+                emit_csv=emit.get("csv", True),
+                emit_jsonl=emit.get("jsonl", True),
+                workers=_config_int(obj.get("workers", 1), "workers"),
             )
         except ConfigError:
             raise
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed config: {type(exc).__name__}: {exc}") from exc
         cfg.validate()
         return cfg
@@ -766,14 +784,12 @@ def check_second_moment_bound(records: Sequence[TrialRecord]) -> dict:
     }
 
 
-def check_isotropy_threshold(
-    records: Sequence[TrialRecord], c_star: float, c1: float = 1.0, c2: float = 1.0
-) -> list[dict]:
+def check_isotropy_threshold(records: Sequence[TrialRecord], c_star: float) -> list[dict]:
     """Per-cell fraction of trials with l_k <= c_star.
 
     The reference column is the bound shape 1 - c1 exp(-c2 n min(1,
-    log(m/n))) with fitted constants; only the shape is meaningful, the
-    fractions are the data.
+    log(m/n))) with c1 = LK_SHAPE_C1 and c2 = LK_SHAPE_C2; only the shape
+    is meaningful, the fractions are the data.
     """
     if c_star <= 0:
         raise ValueError("c_star must be positive")
@@ -781,7 +797,7 @@ def check_isotropy_threshold(
     for (n, m), recs in _cell_groups(records).items():
         lk = np.array([r.l_k for r in recs])
         frac = float(np.mean(lk <= c_star))
-        shape = 1.0 - c1 * math.exp(-c2 * n * min(1.0, math.log(m / n)))
+        shape = 1.0 - LK_SHAPE_C1 * math.exp(-LK_SHAPE_C2 * n * min(1.0, math.log(m / n)))
         report.append(
             {
                 "n": n,
@@ -1083,8 +1099,8 @@ def run_calibration(trials: int, master_seed: int, workers: int) -> dict:
                 "max": max(growth.values()),
             },
             "lk_threshold": {
-                "c1": 1.0,
-                "c2": 1.0,
+                "c1": LK_SHAPE_C1,
+                "c2": LK_SHAPE_C2,
                 "fractions": [[c["n"], c["m"], c["fraction"]] for c in fractions],
             },
             "records_csv_sha256": csv_hash,

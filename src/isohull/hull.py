@@ -24,14 +24,15 @@ The body is centrally symmetric, so its facets come in antipodal pairs
 F, -F with equal (n-1)-volume, distance and cone moments.
 :meth:`FacetComplex.pairs` finds each facet's partner with one
 ``searchsorted`` of the antipodal keys among the sorted facet keys and
-lists one representative per pair; facet volumes (here) and cone moments
-(:mod:`isohull.moments`) are computed for representatives only, in facet
-blocks of about ``_BLOCK_FLOATS`` float64s per temporary, so no
-(F, n, n) gather is ever held and no BLAS product is large enough to wake
-OpenBLAS threads.
+lists one representative per pair.  One pass over the representatives,
+in facet blocks of about ``_BLOCK_FLOATS`` float64s per temporary, gathers
+each facet's vertices once and gives its volume, its cross sum and its
+cone second moment (read by :mod:`isohull.moments`), so no (F, n, n)
+gather is ever held and no BLAS product is large enough to wake OpenBLAS
+threads.
 
 All facet geometry is stored as flat arrays (ids, normals, distances,
-(n-1)-volumes) to keep per-trial work vectorized.
+(n-1)-volumes, cross sums) to keep per-trial work vectorized.
 :class:`InvalidComplexError` is a structural fault; a covariance that is
 not positive-definite is ``NotSPDError`` from the one SPD gate,
 :func:`isohull.isotropy.isotropy_constant`.
@@ -110,11 +111,11 @@ class FacetComplex:
     normals: np.ndarray  # (F, n) unit outward
     dists: np.ndarray  # (F,) > 0
     volumes: np.ndarray  # (F,) > 0
+    cross_sums: np.ndarray  # (F,) sum over i != j of <Q_i, Q_j>
+    cone_second: np.ndarray  # (n, n) sum over facets of int_conv(0,F) x x^T
     source: PointCloud | None = None
-    _cone_cdf: np.ndarray | None = field(default=None, init=False, repr=False)
     _antipodes: np.ndarray | None = field(default=None, init=False, repr=False)
     _pairs: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
-    _moments: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def facet_count(self) -> int:
@@ -223,6 +224,8 @@ def symmetric_hull(cloud: PointCloud) -> FacetComplex:
         normals=normals,
         dists=dists,
         volumes=np.empty(ids.shape[0]),
+        cross_sums=np.empty(ids.shape[0]),
+        cone_second=np.zeros((n, n)),
         source=cloud,
     )
     try:
@@ -234,14 +237,24 @@ def symmetric_hull(cloud: PointCloud) -> FacetComplex:
     # volume |det[Q_1 ... Q_n]| / n! = dist * |F| / n, so
     # |F| = |det V| / ((n-1)! * dist).  Equivalent to the Gram-determinant
     # form sqrt(det G)/(n-1)! but without squaring the conditioning (the
-    # tests pin the two routes together).  The antipodal facet has the
-    # same volume.
-    volumes = fc.volumes
+    # tests pin the two routes together).  Cross sums and cone second
+    # moments as in :mod:`isohull.moments`; the antipodal facet has the
+    # same volume, cross sum and second-moment matrix.
+    volumes, cross, second = fc.volumes, fc.cross_sums, fc.cone_second
     scale = math.factorial(n - 1)
     for blk in facet_blocks(rep.size, n * n):
         r = rep[blk]
-        volumes[r] = np.abs(np.linalg.det(sym[ids[r]])) / (scale * dists[r])
+        V = sym[ids[r]]
+        volumes[r] = np.abs(np.linalg.det(V)) / (scale * dists[r])
+        s = V.sum(axis=1)
+        cross[r] = np.einsum("fi,fi->f", s, s) - np.einsum("fki,fki->f", V, V)
+        # sum_f w_f (sum_k v v^T + s s^T) as two flat matrix products
+        w = dists[r] * volumes[r] / (n * (n + 1.0) * (n + 2.0))
+        second += V.reshape(-1, n).T @ (V * w[:, None, None]).reshape(-1, n)
+        second += s.T @ (s * w[:, None])
     volumes[partner] = volumes[rep]
+    cross[partner] = cross[rep]
+    second *= 2.0
     if np.any(volumes <= 1e-14):
         raise DegenerateFacetError(
             "degenerate: perturbation required (zero-volume facet)"

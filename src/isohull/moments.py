@@ -15,14 +15,11 @@ standard simplex formula
 s = sum_k v_k, which reduces to the scalar decomposition on the trace.
 
 The facets of the symmetric body come in antipodal pairs F, -F whose cones
-have the same volume, cross sum and second-moment matrix.  One cached pass
-per complex runs over blocks of one representative facet per pair
-(:meth:`FacetComplex.pairs`, :func:`isohull.hull.facet_blocks`): it gathers
-the block's vertex coordinates, computes their cross sums (copied to the
-partners) and accumulates the cone second-moment matrix, which is then
-doubled.  The volume and the mean square are likewise doubled sums over
-representatives.  A complex whose facets do not pair raises
-:class:`InvalidComplexError` here.
+have the same volume, cross sum and second-moment matrix.  The facet pass
+of :func:`isohull.hull.symmetric_hull` stores the cross sums and the cone
+second-moment sum on the complex; the volume and the mean square are
+doubled sums over one facet per pair (:meth:`FacetComplex.pairs`).  A
+complex whose facets do not pair raises :class:`InvalidComplexError` here.
 
 A Monte Carlo oracle (rejection volume for n <= 5, exact in-polytope
 sampling for the moments) provides an independent cross-check of every
@@ -36,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hull import UNIT_VERTEX_TOL, FacetComplex, InvalidComplexError, facet_blocks
+from .hull import UNIT_VERTEX_TOL, FacetComplex, InvalidComplexError
 from .sphere_stats import RngStream, ball_volume
 
 __all__ = [
@@ -118,39 +115,14 @@ def facet_mean_square_pullback(vertices: np.ndarray) -> float:
     return total
 
 
-def _facet_pass(fc: FacetComplex) -> tuple[np.ndarray, np.ndarray]:
-    """(per-facet cross sums (F,), cone second-moment sum (n, n)); cached.
-
-    One pass over blocks of representative facets; the partner of each
-    representative gets its cross sum, and the second-moment sum counts
-    every pair twice.
-    """
-    if fc._moments is None:
-        n = fc.n
-        rep, partner = fc.pairs()
-        cross = np.empty(fc.facet_count)
-        second = np.zeros((n, n))
-        w_rep = fc.dists[rep] * fc.volumes[rep] / (n * (n + 1.0) * (n + 2.0))
-        for blk in facet_blocks(rep.size, n * n):
-            V = fc.vertices[fc.vertex_ids[rep[blk]]]
-            s = V.sum(axis=1)
-            cross[rep[blk]] = np.einsum("fi,fi->f", s, s) - np.einsum("fki,fki->f", V, V)
-            # sum_f w_f (sum_k v v^T + s s^T) as two flat matrix products
-            w = w_rep[blk]
-            second += V.reshape(-1, n).T @ (V * w[:, None, None]).reshape(-1, n)
-            second += s.T @ (s * w[:, None])
-        cross[partner] = cross[rep]
-        fc._moments = (cross, 2.0 * second)
-    return fc._moments
-
-
 def facet_cross_sums(fc: FacetComplex) -> np.ndarray:
     """Per facet, sum over ordered pairs i != j of <Q_i, Q_j>; shape (F,).
 
-    Read from the cached facet pass: the mean square and the per-trial
-    maximum both need it.
+    Stored by :func:`isohull.hull.symmetric_hull`: the mean square and the
+    per-trial maximum both need it.
     """
-    return _facet_pass(fc)[0]
+    fc.pairs()  # raises InvalidComplexError when the facets do not pair
+    return fc.cross_sums
 
 
 def polytope_volume(fc: FacetComplex) -> float:
@@ -177,7 +149,7 @@ def polytope_mean_square(fc: FacetComplex) -> float:
     _check_unit(fc.vertices)
     n = fc.n
     rep, _ = fc.pairs()
-    fms = 2.0 / (n + 1) + facet_cross_sums(fc)[rep] / (n * (n + 1))
+    fms = 2.0 / (n + 1) + fc.cross_sums[rep] / (n * (n + 1))
     contrib = fc.dists[rep] / (n + 2.0) * fc.volumes[rep] * fms
     return 2.0 * float(contrib.sum()) / polytope_volume(fc)
 
@@ -185,21 +157,12 @@ def polytope_mean_square(fc: FacetComplex) -> float:
 def polytope_covariance(fc: FacetComplex) -> np.ndarray:
     """(1/|K|) int_K x x^T dx for a symmetric polytope, any vertex norms.
 
-    The sum of the cone second-moment matrices comes from the cached facet
-    pass, divided by the volume and symmetrized.  No factorization is done
-    here: :func:`isohull.isotropy.isotropy_constant` is the one SPD gate.
+    The stored sum of the cone second-moment matrices is divided by the
+    volume and symmetrized.  No factorization is done here:
+    :func:`isohull.isotropy.isotropy_constant` is the one SPD gate.
     """
-    cov = _facet_pass(fc)[1] / polytope_volume(fc)
+    cov = fc.cone_second / polytope_volume(fc)
     return 0.5 * (cov + cov.T)
-
-
-def _cone_cdf(fc: FacetComplex) -> np.ndarray:
-    if fc._cone_cdf is None:
-        w = fc.cone_volumes()
-        cdf = np.cumsum(w)
-        cdf /= cdf[-1]
-        fc._cone_cdf = cdf
-    return fc._cone_cdf
 
 
 def _sample_batch(fc: FacetComplex, count: int, stream: RngStream) -> np.ndarray:
@@ -209,7 +172,8 @@ def _sample_batch(fc: FacetComplex, count: int, stream: RngStream) -> np.ndarray
     a point by flat Dirichlet weights over the n + 1 cone vertices (the
     origin's weight is simply dropped).
     """
-    cdf = _cone_cdf(fc)
+    cdf = np.cumsum(fc.cone_volumes())
+    cdf /= cdf[-1]
     idx = np.searchsorted(cdf, stream.uniform(count), side="right")
     idx = np.minimum(idx, len(cdf) - 1)
     e = np.asarray(stream.exponential((count, fc.n + 1)))
@@ -226,8 +190,8 @@ def sample_in_polytope(fc: FacetComplex, stream: RngStream) -> np.ndarray:
 class OracleEstimate:
     """Monte Carlo estimates with standard errors.
 
-    ``volume`` and ``volume_se`` are None when rejection sampling is
-    disabled (dimension above REJECTION_MAX_DIM or switched off).
+    ``volume`` and ``volume_se`` are None above REJECTION_MAX_DIM, where
+    rejection sampling is not run.
     """
 
     n_samples: int
@@ -239,39 +203,31 @@ class OracleEstimate:
     volume_se: float | None = None
 
 
-def mc_moment_oracle(
-    fc: FacetComplex,
-    n_samples: int,
-    stream: RngStream,
-    estimate_volume: bool | None = None,
-) -> OracleEstimate:
+def mc_moment_oracle(fc: FacetComplex, n_samples: int, stream: RngStream) -> OracleEstimate:
     """Independent Monte Carlo cross-check of the exact moment paths.
 
     Mean square and covariance come from exact in-polytope samples; volume
     comes from rejection against the circumscribed ball and is only
-    available for n <= REJECTION_MAX_DIM (the hit rate collapses beyond
-    that).  Sampling is chunked with a per-chunk derived stream, so totals
-    do not depend on how chunks would be scheduled.
+    estimated for n <= REJECTION_MAX_DIM (the hit rate collapses beyond
+    that).  Sampling is chunked with per-chunk derived streams (child 1 for
+    the moments, child 2 for the volume), so totals do not depend on how
+    chunks would be scheduled.
     """
     n = fc.n
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    if estimate_volume is None:
-        estimate_volume = n <= REJECTION_MAX_DIM
-    elif estimate_volume and n > REJECTION_MAX_DIM:
-        raise ValueError(
-            f"rejection oracle disabled at this dimension (n={n} > {REJECTION_MAX_DIM})"
-        )
+    estimate_volume = n <= REJECTION_MAX_DIM
 
     ms_stream = stream.child(1)
-    count = 0
+    vol_stream = stream.child(2)
+    r_max = float(np.linalg.norm(fc.vertices, axis=1).max())
     sum_sq = 0.0
     sum_sq2 = 0.0
     cov_sum = np.zeros((n, n))
     cov_sum2 = np.zeros((n, n))
-    chunk_index = 0
-    while count < n_samples:
-        take = min(_ORACLE_CHUNK, n_samples - count)
+    hits = 0
+    for chunk_index, lo in enumerate(range(0, n_samples, _ORACLE_CHUNK)):
+        take = min(_ORACLE_CHUNK, n_samples - lo)
         pts = _sample_batch(fc, take, ms_stream.child(chunk_index))
         sq = np.einsum("ci,ci->c", pts, pts)
         sum_sq += float(sq.sum())
@@ -279,37 +235,22 @@ def mc_moment_oracle(
         outer = np.einsum("ci,cj->cij", pts, pts)
         cov_sum += outer.sum(axis=0)
         cov_sum2 += (outer * outer).sum(axis=0)
-        count += take
-        chunk_index += 1
-
-    ms = sum_sq / count
-    ms_var = max(sum_sq2 / count - ms * ms, 0.0)
-    ms_se = math.sqrt(ms_var / count)
-    cov = cov_sum / count
-    cov_var = np.maximum(cov_sum2 / count - cov * cov, 0.0)
-    cov_se = np.sqrt(cov_var / count)
-
-    volume = volume_se = None
-    if estimate_volume:
-        vol_stream = stream.child(2)
-        r_max = float(np.linalg.norm(fc.vertices, axis=1).max())
-        ball = ball_volume(n) * r_max**n
-        hits = 0
-        done = 0
-        chunk_index = 0
-        while done < n_samples:
-            take = min(_ORACLE_CHUNK, n_samples - done)
+        if estimate_volume:
             cs = vol_stream.child(chunk_index)
             g = np.asarray(cs.gaussian((take, n)))
             g /= np.linalg.norm(g, axis=1, keepdims=True)
             radii = r_max * np.asarray(cs.uniform(take)) ** (1.0 / n)
             pts = g * radii[:, None]
-            inside = np.all(
-                pts @ fc.normals.T <= fc.dists[None, :] + _MEMBERSHIP_TOL, axis=1
-            )
-            hits += int(inside.sum())
-            done += take
-            chunk_index += 1
+            hits += int(np.all(pts @ fc.normals.T <= fc.dists + _MEMBERSHIP_TOL, axis=1).sum())
+
+    ms = sum_sq / n_samples
+    ms_se = math.sqrt(max(sum_sq2 / n_samples - ms * ms, 0.0) / n_samples)
+    cov = cov_sum / n_samples
+    cov_se = np.sqrt(np.maximum(cov_sum2 / n_samples - cov * cov, 0.0) / n_samples)
+
+    volume = volume_se = None
+    if estimate_volume:
+        ball = ball_volume(n) * r_max**n
         p = hits / n_samples
         volume = ball * p
         volume_se = ball * math.sqrt(max(p * (1.0 - p), 0.0) / n_samples)

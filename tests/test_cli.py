@@ -122,8 +122,36 @@ class TestExperiment:
             {"grid": [{"m": 4}]},
             {"grid": [3]},
             {"grid": 5},
+            {"grid": [[2, 4]], "emit": "xml"},
+            {"grid": [[2, 4]], "emit": {"csv": "no"}},
+            {"grid": [[2, 4]], "emit": {"xml": True}},
+            {"grid": [[2.7, 5]]},
+            {"grid": ["25"]},
+            {"grid": [[2, 4]], "trials": 3.9},
+            {"grid": [[2, 4]], "trials": True},
+            {"grid": [[2, 4]], "workers": 1.5},
+            {"grid": [{"n": 4, "ratio": True}]},
+            {"grid": [[2, 4]], "alpha_rule": {"fixed": True}},
+            {"grid": [[2, 4]], "output_dir": 5},
         ],
-        ids=["emit-list", "trials-text", "grid-entry-without-n", "grid-entry-scalar", "grid-scalar"],
+        ids=[
+            "emit-list",
+            "trials-text",
+            "grid-entry-without-n",
+            "grid-entry-scalar",
+            "grid-scalar",
+            "emit-unknown-format",
+            "emit-text-flag",
+            "emit-unknown-key",
+            "grid-fraction",
+            "grid-entry-text",
+            "trials-fraction",
+            "trials-bool",
+            "workers-fraction",
+            "ratio-bool",
+            "alpha-bool",
+            "output-dir-number",
+        ],
     )
     def test_malformed_config_is_config_error(self, capsys, tmp_path, config):
         with pytest.raises(ConfigError):

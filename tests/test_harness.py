@@ -299,7 +299,7 @@ class TestChecks:
         assert all(cell["fraction"] == 0.0 for cell in tiny)
 
     def test_bound_shape_column(self, check_records):
-        rep = check_isotropy_threshold(check_records, 1.0, c1=1.0, c2=1.0)
+        rep = check_isotropy_threshold(check_records, 1.0)
         for cell in rep:
             expected = 1.0 - math.exp(
                 -cell["n"] * min(1.0, math.log(cell["m"] / cell["n"]))

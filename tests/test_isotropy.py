@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from isohull.isotropy import (
     isotropic_transform,
     isotropy_constant,
 )
-from isohull.moments import _facet_pass, polytope_covariance, polytope_volume
+from isohull.moments import polytope_covariance, polytope_volume
 from isohull.sphere_stats import RngStream
 from isohull.hull import inradius
 from conftest import cross_polytope_complex, random_complex
@@ -68,8 +69,7 @@ class TestCholeskyDet:
         # polytope_covariance only symmetrizes; an indefinite second-moment
         # sum reaches isotropy_constant, which rejects it
         fc = random_complex(3, 9, 5)
-        cross, second = _facet_pass(fc)
-        fc._moments = (cross, -second)
+        fc = dataclasses.replace(fc, cone_second=-fc.cone_second)
         cov = polytope_covariance(fc)
         assert np.array_equal(cov, cov.T)
         with pytest.raises(NotSPDError):

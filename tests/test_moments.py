@@ -129,7 +129,7 @@ class TestPolytopeMeanSquare:
 
     def test_matches_oracle(self):
         fc = random_complex(4, 12, 55)
-        est = mc_moment_oracle(fc, 100_000, RngStream(56), estimate_volume=False)
+        est = mc_moment_oracle(fc, 100_000, RngStream(56))
         exact = polytope_mean_square(fc)
         assert abs(exact - est.mean_square) < 4.0 * est.mean_square_se
 
@@ -202,7 +202,7 @@ class TestOracle:
 
     def test_se_scaling(self, octahedron):
         ses = [
-            mc_moment_oracle(octahedron, N, RngStream(97), estimate_volume=False).mean_square_se
+            mc_moment_oracle(octahedron, N, RngStream(97)).mean_square_se
             for N in (10_000, 100_000, 1_000_000)
         ]
         for a, b in zip(ses, ses[1:]):
@@ -210,8 +210,6 @@ class TestOracle:
 
     def test_rejection_disabled_beyond_cutoff(self):
         fc = random_complex(REJECTION_MAX_DIM + 1, 3 * (REJECTION_MAX_DIM + 1), 98)
-        with pytest.raises(ValueError, match="rejection oracle disabled"):
-            mc_moment_oracle(fc, 1000, RngStream(99), estimate_volume=True)
         est = mc_moment_oracle(fc, 1000, RngStream(99))
         assert est.volume is None
 
@@ -297,6 +295,22 @@ class TestFacetPass:
         finally:
             tracemalloc.stop()
         assert peak < fc.facet_count * n * n * 8
+
+    def test_moments_do_no_facet_block_work(self, monkeypatch):
+        # the one facet pass is symmetric_hull's; the moment functions only
+        # read what it stored
+        fc = random_complex(8, 20, 6)
+        assert validate_complex(fc).passed
+
+        def refuse(count, width):
+            raise AssertionError("facet_blocks() called after symmetric_hull")
+
+        monkeypatch.setattr(hull, "facet_blocks", refuse)
+        monkeypatch.setattr("isohull.moments.facet_blocks", refuse, raising=False)
+        assert polytope_volume(fc) > 0.0
+        assert 0.0 < polytope_mean_square(fc) <= 1.0
+        assert polytope_covariance(fc).shape == (8, 8)
+        assert facet_cross_sums(fc).shape == (fc.facet_count,)
 
     def test_trial_path_never_gathers(self, monkeypatch):
         def refuse(self):
