@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from .harness import (
     check_inradius_bound,
     check_isotropy_threshold,
     check_second_moment_bound,
+    fixture_path,
     load_fixture,
     records_from_csv,
     records_from_jsonl,
@@ -95,12 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="override master_seed")
     p.add_argument("--trials", type=int, default=None, help="override trials per cell")
     p.add_argument("--out", type=str, default=None, help="override output directory")
-    p.add_argument(
-        "--format",
-        choices=("csv", "jsonl", "both"),
-        default=None,
-        help="override emitted formats",
-    )
 
     p = sub.add_parser("calibrate", help="run the pilot campaign and write fixtures")
     p.add_argument("--out", type=str, default=None, help="fixture path (default: packaged)")
@@ -181,9 +177,6 @@ def _cmd_experiment(args) -> int:
         updates["trials"] = args.trials
     if args.out is not None:
         updates["output_dir"] = args.out
-    if args.format is not None:
-        updates["emit_csv"] = args.format in ("csv", "both")
-        updates["emit_jsonl"] = args.format in ("jsonl", "both")
     if updates:
         import dataclasses
 
@@ -209,20 +202,32 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    rule = AlphaRule("fixed", args.alpha) if args.alpha is not None else AlphaRule()
     path = Path(args.records)
+    # a file that cannot be read is an i/o error (exit 3); one that reads
+    # but does not parse is a bad input (exit 1)
     try:
         records = (
             records_from_csv(path) if path.suffix == ".csv" else records_from_jsonl(path)
         )
     except OSError as exc:
         raise EmitError(f"cannot read records {path}: {exc}") from exc
-    fixture = load_fixture(args.fixtures)
-    rule = AlphaRule("fixed", args.alpha) if args.alpha is not None else AlphaRule()
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed records {path}: {type(exc).__name__}: {exc}") from exc
+    if not records:
+        raise ConfigError(f"no records in {path}")
+    fixture_file = args.fixtures or fixture_path()
+    try:
+        c_star = float(load_fixture(fixture_file)["campaign"]["c_star"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed fixture {fixture_file}: {type(exc).__name__}: {exc}") from exc
+    if not 0 < c_star < math.inf:
+        raise ConfigError(f"malformed fixture {fixture_file}: c_star {c_star} is not in (0, inf)")
     report = {
         "inradius": check_inradius_bound(records, rule),
         "second_moment": check_second_moment_bound(records),
-        "lk_threshold": check_isotropy_threshold(records, fixture["campaign"]["c_star"]),
-        "c_star": fixture["campaign"]["c_star"],
+        "lk_threshold": check_isotropy_threshold(records, c_star),
+        "c_star": c_star,
     }
     _emit(report)
     return EXIT_OK

@@ -4,8 +4,11 @@ A campaign runs the full sample -> hull -> validate -> moments -> isotropy
 pipeline once per (cell, trial), with every trial seed derived up front
 from the master seed as derive_seed(master, [n, m, trial]).  Trials are
 therefore independent tasks: results are collected, canonically sorted by
-(n, m, trial), and emitted as CSV/JSONL whose bytes do not depend on the
-worker count.
+(n, m, trial), and emitted as CSV and JSONL whose bytes do not depend on the
+worker count.  A campaign's config is its grid, trial count and master
+seed, which set every record, plus an output directory and a worker count,
+which do not; the Monte Carlo oracle and a fixed inradius threshold belong
+to single trials (``run_trial``) and to record checks, not to campaigns.
 
 Determinism contract: every record field except ``wall_time_ms`` is a
 pure function of (n, m, trial seed).  Measured wall time is kept on
@@ -182,26 +185,14 @@ class AlphaRule:
     def __post_init__(self) -> None:
         if self.kind not in ("default", "fixed"):
             raise ConfigError(f"unknown alpha rule {self.kind!r}")
-        if self.kind == "fixed" and (self.value is None or self.value < 0):
-            raise ConfigError("fixed alpha rule needs a non-negative value")
+        # NaN fails both comparisons, so only a finite value >= 0 passes
+        if self.kind == "fixed" and (self.value is None or not 0 <= self.value < math.inf):
+            raise ConfigError(f"fixed alpha rule needs a finite value >= 0, got {self.value!r}")
 
     def alpha(self, n: int, m: int) -> float:
         if self.kind == "fixed":
             return float(self.value)
         return math.sqrt(math.log(m / n) / n) / (2.0 * math.sqrt(2.0))
-
-    def to_json(self):
-        if self.kind == "fixed":
-            return {"fixed": self.value}
-        return "default"
-
-    @classmethod
-    def from_json(cls, obj) -> "AlphaRule":
-        if obj in (None, "default"):
-            return cls()
-        if isinstance(obj, dict) and set(obj) == {"fixed"} and not isinstance(obj["fixed"], bool):
-            return cls("fixed", float(obj["fixed"]))
-        raise ConfigError(f"cannot parse alpha rule from {obj!r}")
 
 
 def _config_int(value, what: str) -> int:
@@ -215,16 +206,17 @@ def _config_int(value, what: str) -> int:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Campaign definition: grid, trial count, seeding, oracle, and outputs."""
+    """Campaign definition: grid, trial count and seeding, output directory, workers.
+
+    Records are a function of ``grid``, ``trials`` and ``master_seed`` alone.
+    With an ``output_dir`` the campaign writes both record files and
+    ``summary.json`` there; ``workers`` only sets the process count.
+    """
 
     grid: tuple[tuple[int, int], ...]
     trials: int = DEFAULT_TRIALS
     master_seed: int = DEFAULT_MASTER_SEED
-    oracle_samples: int = 0
-    alpha_rule: AlphaRule = field(default_factory=AlphaRule)
     output_dir: str | None = None
-    emit_csv: bool = True
-    emit_jsonl: bool = True
     workers: int = 1
 
     def validate(self) -> None:
@@ -237,8 +229,6 @@ class ExperimentConfig:
                 raise ConfigError(f"cell must satisfy m > n, got (n={n}, m={m})")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if self.oracle_samples < 0:
-            raise ConfigError("oracle_samples must be >= 0")
         if not 0 <= self.master_seed < (1 << 64):
             raise ConfigError("master_seed must be a 64-bit unsigned integer")
         if self.workers < 1:
@@ -251,10 +241,7 @@ class ExperimentConfig:
             "grid": [[n, m] for n, m in self.grid],
             "trials": self.trials,
             "master_seed": self.master_seed,
-            "oracle_samples": self.oracle_samples,
-            "alpha_rule": self.alpha_rule.to_json(),
             "output_dir": self.output_dir,
-            "emit": {"csv": self.emit_csv, "jsonl": self.emit_jsonl},
             "workers": self.workers,
         }
 
@@ -286,22 +273,11 @@ class ExperimentConfig:
                     grid.append((_config_int(item[0], "grid n"), _config_int(item[1], "grid m")))
                 else:
                     raise ConfigError(f"grid entry must be a pair: {item!r}")
-            emit = obj.get("emit", "both")
-            if emit in ("csv", "jsonl", "both"):
-                emit = {"csv": emit != "jsonl", "jsonl": emit != "csv"}
-            if not isinstance(emit, dict) or set(emit) - {"csv", "jsonl"} or any(
-                not isinstance(v, bool) for v in emit.values()
-            ):
-                raise ConfigError(f"emit must be csv, jsonl, both or csv/jsonl booleans: {emit!r}")
             cfg = cls(
                 grid=tuple(grid),
                 trials=_config_int(obj.get("trials", DEFAULT_TRIALS), "trials"),
                 master_seed=_config_int(obj.get("master_seed", DEFAULT_MASTER_SEED), "master_seed"),
-                oracle_samples=_config_int(obj.get("oracle_samples", 0), "oracle_samples"),
-                alpha_rule=AlphaRule.from_json(obj.get("alpha_rule")),
                 output_dir=obj.get("output_dir"),
-                emit_csv=emit.get("csv", True),
-                emit_jsonl=emit.get("jsonl", True),
                 workers=_config_int(obj.get("workers", 1), "workers"),
             )
         except ConfigError:
@@ -313,7 +289,7 @@ class ExperimentConfig:
 
     def content_hash(self) -> str:
         """Hash of the record-determining part of the config (not paths/workers)."""
-        keys = ("grid", "trials", "master_seed", "oracle_samples")
+        keys = ("grid", "trials", "master_seed")
         payload = {k: v for k, v in self.to_json_dict().items() if k in keys}
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
@@ -496,10 +472,10 @@ def run_trial(
     )
 
 
-def _trial_task(task: tuple[int, int, int, int, int]):
-    n, m, trial, seed, oracle_samples = task
+def _trial_task(task: tuple[int, int, int, int]):
+    n, m, trial, seed = task
     try:
-        return ("ok", run_trial(n, m, seed, oracle_samples, trial_index=trial))
+        return ("ok", run_trial(n, m, seed, trial_index=trial))
     except _TRIAL_FAILURES as exc:
         return (
             "failed",
@@ -536,19 +512,16 @@ def _cell_groups(records: Sequence[TrialRecord]) -> dict[tuple[int, int], list[T
     return dict(sorted(groups.items()))
 
 
-def summarize_records(
-    records: Sequence[TrialRecord],
-    failures: Sequence[dict] = (),
-    alpha_rule: AlphaRule | None = None,
-) -> dict:
+def summarize_records(records: Sequence[TrialRecord], failures: Sequence[dict] = ()) -> dict:
     """Per-cell summary statistics plus the config-free bound checks.
 
-    The inradius and second-moment figures come from
-    :func:`check_inradius_bound` and :func:`check_second_moment_bound`; an
-    empty record set (every trial failed) has no cells.
+    The inradius figures come from :func:`check_inradius_bound` under the
+    default :class:`AlphaRule`, the second-moment figures from
+    :func:`check_second_moment_bound`; an empty record set (every trial
+    failed) has no cells.
     """
     groups = _cell_groups(records)
-    inradius_cells = check_inradius_bound(records, alpha_rule) if records else []
+    inradius_cells = check_inradius_bound(records) if records else []
     moment_cells = check_second_moment_bound(records)["cells"] if records else []
     cells = []
     for ((n, m), recs), inr, mom in zip(groups.items(), inradius_cells, moment_cells):
@@ -580,7 +553,7 @@ def summarize_records(
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Execute every trial in the grid and write the configured outputs.
+    """Execute every trial in the grid and write records and summary to ``output_dir``.
 
     Per-trial seeds are derive_seed(master, [n, m, trial]), fixed before
     dispatch, and results are sorted by (n, m, trial), so records are
@@ -593,7 +566,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """
     config.validate()
     tasks = [
-        (n, m, t, derive_seed(config.master_seed, [n, m, t]), config.oracle_samples)
+        (n, m, t, derive_seed(config.master_seed, [n, m, t]))
         for (n, m) in config.grid
         for t in range(config.trials)
     ]
@@ -632,7 +605,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     records = sorted((r.canonical() for r in records), key=_sort_key)
     failures.sort(key=lambda f: (f["n"], f["m"], f["trial"]))
-    summary = summarize_records(records, failures, config.alpha_rule)
+    summary = summarize_records(records, failures)
     summary["config"] = config.to_json_dict()
     summary["config_content_hash"] = config.content_hash()
 
@@ -641,7 +614,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         out = Path(config.output_dir)
         try:
             out.mkdir(parents=True, exist_ok=True)
-            paths = emit_records(records, out, config.emit_csv, config.emit_jsonl)
+            paths = emit_records(records, out)
             summary_path = out / "summary.json"
             _write_atomic(summary_path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
             paths["summary"] = str(summary_path)
@@ -669,36 +642,26 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def emit_records(
-    records: Sequence[TrialRecord],
-    output_dir: str | Path,
-    csv: bool = True,
-    jsonl: bool = True,
-) -> dict:
-    """Write records in canonical (n, m, trial) order; returns written paths.
+def emit_records(records: Sequence[TrialRecord], output_dir: str | Path) -> dict:
+    """Write records.csv and records.jsonl in canonical (n, m, trial) order.
 
-    CSV carries the exact column header; JSONL mirrors the columns one
-    object per line.  All floats use 17 significant digits, so a parse
-    round trip preserves every value bit for bit.
+    Returns the two paths under the keys ``csv`` and ``jsonl``.  CSV
+    carries the exact column header; JSONL mirrors the columns one object
+    per line.  All floats use 17 significant digits, so a parse round trip
+    preserves every value bit for bit.
     """
     ordered = sorted(records, key=_sort_key)
     out = Path(output_dir)
-    paths: dict = {}
+    csv_path = out / f"{RECORDS_BASENAME}.csv"
+    jsonl_path = out / f"{RECORDS_BASENAME}.jsonl"
     try:
         out.mkdir(parents=True, exist_ok=True)
-        if csv:
-            path = out / f"{RECORDS_BASENAME}.csv"
-            lines = [",".join(CSV_COLUMNS)]
-            lines += [r.to_csv_row() for r in ordered]
-            _write_atomic(path, "\n".join(lines) + "\n")
-            paths["csv"] = str(path)
-        if jsonl:
-            path = out / f"{RECORDS_BASENAME}.jsonl"
-            _write_atomic(path, "".join(r.to_json_line() + "\n" for r in ordered))
-            paths["jsonl"] = str(path)
+        lines = [",".join(CSV_COLUMNS)] + [r.to_csv_row() for r in ordered]
+        _write_atomic(csv_path, "\n".join(lines) + "\n")
+        _write_atomic(jsonl_path, "".join(r.to_json_line() + "\n" for r in ordered))
     except OSError as exc:
         raise EmitError(f"cannot write records under {out}: {exc}") from exc
-    return paths
+    return {"csv": str(csv_path), "jsonl": str(jsonl_path)}
 
 
 def records_from_csv(path: str | Path) -> list[TrialRecord]:

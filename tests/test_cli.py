@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +11,8 @@ from pathlib import Path
 import pytest
 
 import isohull
-from isohull.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
-from isohull.harness import ConfigError, ExperimentConfig
+from isohull.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, build_parser, main
+from isohull.harness import ConfigError, ExperimentConfig, run_trial
 
 
 def run_main(capsys, *argv):
@@ -89,18 +91,6 @@ class TestExperiment:
         assert (tmp_path / "out" / "records.csv").exists()
         assert (tmp_path / "out" / "records.jsonl").exists()
 
-    def test_format_override(self, capsys, tmp_path):
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps({"grid": [[2, 4]], "trials": 1, "master_seed": 5}))
-        code, _, _ = run_main(
-            capsys,
-            "experiment", "--config", str(cfg_path),
-            "--out", str(tmp_path / "o2"), "--format", "csv",
-        )
-        assert code == EXIT_OK
-        assert (tmp_path / "o2" / "records.csv").exists()
-        assert not (tmp_path / "o2" / "records.jsonl").exists()
-
     def test_invalid_config_is_usage_error(self, capsys, tmp_path):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({"grid": [[3, 3]], "trials": 1}))
@@ -168,14 +158,10 @@ class TestExperiment:
             {
                 "grid": [[2, 4], {"n": 3, "m": 6}, {"n": 4, "ratio": 2}, ("5", 7.0)],
                 "trials": "3",
-                "emit": "csv",
             }
         )
         assert config.grid == ((2, 4), (3, 6), (4, 8), (5, 7))
         assert config.trials == 3
-        assert (config.emit_csv, config.emit_jsonl) == (True, False)
-        config = ExperimentConfig.from_json_dict({"grid": [[2, 4]], "emit": {"jsonl": False}})
-        assert (config.emit_csv, config.emit_jsonl) == (True, False)
 
 
 class TestCheck:
@@ -200,6 +186,82 @@ class TestCheck:
         assert {c["n"] for c in report["inradius"]} == {3, 4}
         assert report["second_moment"]["band_ratio"] >= 1.0
         assert all(c["fraction"] == 1.0 for c in report["lk_threshold"])
+
+    @staticmethod
+    def write_records(tmp_path) -> Path:
+        path = tmp_path / "records.jsonl"
+        path.write_text(run_trial(3, 9, 11).canonical().to_json_line() + "\n")
+        return path
+
+    @pytest.mark.parametrize("alpha", ["inf", "nan", "-0.5"])
+    def test_fixed_alpha_must_be_finite_and_non_negative(self, capsys, tmp_path, alpha):
+        path = self.write_records(tmp_path)
+        code, out, err = run_main(capsys, "check", "--records", str(path), "--alpha", alpha)
+        assert code == EXIT_USAGE
+        assert err.startswith("config error:")
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "name, text, is_fixture",
+        [
+            ("records.jsonl", "", False),
+            ("records.csv", "n,m,trial\n3,9,0\n", False),
+            ("records.jsonl", '{"n": 3, "m": 9, "tri', False),
+            ("records.jsonl", '{"n": 3, "m": 9, "trial": 0}\n', False),
+            ("fixture.json", '{"campaign": {"c_star": ', True),
+            ("fixture.json", '{"campaign": {"c_star": 0}}', True),
+        ],
+        ids=[
+            "empty-jsonl",
+            "csv-header",
+            "truncated-jsonl",
+            "jsonl-missing-column",
+            "bad-fixture",
+            "fixture-c-star-zero",
+        ],
+    )
+    def test_bad_input_file_is_one_line_usage_error(self, capsys, tmp_path, name, text, is_fixture):
+        bad = tmp_path / name
+        bad.write_text(text)
+        argv = ["check", "--records", str(bad)]
+        if is_fixture:
+            argv = ["check", "--records", str(self.write_records(tmp_path)), "--fixtures", str(bad)]
+        code, out, err = run_main(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert err.startswith("config error:") and str(bad) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert out == ""
+
+    def test_unreadable_records_is_io_error(self, capsys, tmp_path):
+        code, _, err = run_main(capsys, "check", "--records", str(tmp_path / "none.jsonl"))
+        assert code == EXIT_IO
+        assert err.startswith("i/o error:")
+
+
+class TestReadme:
+    """README's CLI block and config example parse with the current code."""
+
+    README = Path(__file__).resolve().parents[1] / "README.md"
+
+    def blocks(self, language: str) -> list[str]:
+        return re.findall(rf"```{language}\n(.*?)```", self.README.read_text(), re.S)
+
+    def test_cli_lines_parse(self):
+        lines = [
+            line
+            for block in self.blocks("bash")
+            for line in block.splitlines()
+            if line.startswith("isohull ")
+        ]
+        assert len(lines) >= 7
+        parser = build_parser()
+        for line in lines:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+
+    def test_config_example_parses(self):
+        (example,) = self.blocks("json")
+        config = ExperimentConfig.from_json_dict(json.loads(example))
+        assert set(json.loads(example)) == set(config.to_json_dict())
 
 
 class TestOracle:

@@ -75,6 +75,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json_dict({"grid": [[2, 4]], "bogus": 1})
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("oracle_samples", 0), ("emit", {"csv": True, "jsonl": True}), ("alpha_rule", "default")],
+    )
+    def test_rejects_keys_a_campaign_does_not_use(self, key, value):
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            ExperimentConfig.from_json_dict({"grid": [[2, 4]], key: value})
+
     def test_default_grid_shape(self):
         grid = default_grid()
         assert len(grid) == 28
@@ -91,9 +99,10 @@ class TestAlphaRule:
     def test_fixed(self):
         assert AlphaRule("fixed", 0.25).alpha(5, 10) == 0.25
 
-    def test_json_roundtrip(self):
-        assert AlphaRule.from_json("default") == AlphaRule()
-        assert AlphaRule.from_json({"fixed": 0.1}) == AlphaRule("fixed", 0.1)
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -0.1, None])
+    def test_fixed_needs_finite_non_negative_value(self, value):
+        with pytest.raises(ConfigError):
+            AlphaRule("fixed", value)
 
 
 class TestRunTrial:
@@ -192,7 +201,6 @@ class TestRunExperiment:
             ("validate_complex", "validate"),
             ("polytope_covariance", "moments"),
             ("isotropy_constant", "isotropy"),
-            ("mc_moment_oracle", "oracle"),
         ],
     )
     def test_failure_row_names_its_stage(self, monkeypatch, name, stage):
@@ -200,14 +208,34 @@ class TestRunExperiment:
             raise InvalidComplexError("injected failure")
 
         monkeypatch.setattr(harness, name, failing)
-        status, row = harness._trial_task((3, 6, 0, 11, 100))
+        status, row = harness._trial_task((3, 6, 0, 11))
         assert status == "failed"
         assert row["stage"] == stage
+
+    def test_oracle_failure_names_its_stage(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise InvalidComplexError("injected failure")
+
+        monkeypatch.setattr(harness, "mc_moment_oracle", failing)
+        with pytest.raises(InvalidComplexError) as info:
+            run_trial(3, 6, 11, oracle_samples=100)
+        assert info.value.stage == "oracle"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_campaign_runs_no_oracle(self, tmp_path, monkeypatch, workers):
+        # forked workers inherit the patched oracle; any call would be a failure row
+        def failing(*args, **kwargs):
+            raise InvalidComplexError("oracle called")
+
+        monkeypatch.setattr(harness, "mc_moment_oracle", failing)
+        res = run_experiment(small_config(tmp_path, trials=2, workers=workers))
+        assert res.failures == []
+        assert len(res.records) == 4
 
     def test_degeneracy_cap_names_the_last_failing_stage(self, monkeypatch):
         failed = ComplexDiagnostics((CheckResult("simplicial", False),))
         monkeypatch.setattr(harness, "validate_complex", lambda fc: failed)
-        status, row = harness._trial_task((3, 6, 0, 11, 0))
+        status, row = harness._trial_task((3, 6, 0, 11))
         assert (status, row["error_type"], row["stage"]) == ("failed", "TrialError", "validate")
 
     def test_progress_logged_once_per_cell(self, tmp_path, caplog):
@@ -230,6 +258,8 @@ class TestRunExperiment:
 
     def test_summary_content(self, tmp_path):
         res = run_experiment(small_config(tmp_path))
+        keys = {"grid", "trials", "master_seed", "output_dir", "workers"}
+        assert set(res.summary["config"]) == keys
         cells = res.summary["cells"]
         assert [(c["n"], c["m"]) for c in cells] == [(2, 4), (3, 6)]
         for c in cells:
