@@ -13,13 +13,11 @@ from .sphere_stats import (
     RngStream,
     PointCloud,
     derive_seed,
-    sample_unit_vector,
     sample_symmetric_cloud,
     sphere_abs_moment,
     cap_tail_prob,
     psi2_norm_estimate,
     bernstein_bound,
-    sum_cross_inner,
 )
 from .hull import (
     FacetComplex,
@@ -45,7 +43,6 @@ from .isotropy import (
     ball_fallback_bound,
 )
 from .harness import (
-    AlphaRule,
     ExperimentConfig,
     TrialRecord,
     run_trial,
@@ -60,13 +57,11 @@ __all__ = [
     "RngStream",
     "PointCloud",
     "derive_seed",
-    "sample_unit_vector",
     "sample_symmetric_cloud",
     "sphere_abs_moment",
     "cap_tail_prob",
     "psi2_norm_estimate",
     "bernstein_bound",
-    "sum_cross_inner",
     "FacetComplex",
     "symmetric_hull",
     "validate_complex",
@@ -84,7 +79,6 @@ __all__ = [
     "isotropy_constant",
     "isotropic_transform",
     "ball_fallback_bound",
-    "AlphaRule",
     "ExperimentConfig",
     "TrialRecord",
     "run_trial",

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: sample, hull, trial, experiment, calibrate, check.  The
-Monte Carlo cross-check of one trial is ``trial --oracle-samples N``.
+Monte Carlo cross-check of one trial is ``trial --oracle-samples N``; a
+campaign's only input is its config file (``experiment --config``).
 Exit codes: 0 success, 1 usage/config error, 2 numerical/degeneracy
 failure, 3 I/O error.
 """
@@ -21,7 +22,6 @@ from . import __version__
 from .harness import (
     DEFAULT_MASTER_SEED,
     DEFAULT_TRIALS,
-    AlphaRule,
     ConfigError,
     EmitError,
     ExperimentConfig,
@@ -94,9 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a campaign from a JSON config file")
     p.add_argument("--config", type=str, required=True, help="config JSON path")
-    p.add_argument("--seed", type=int, default=None, help="override master_seed")
-    p.add_argument("--trials", type=int, default=None, help="override trials per cell")
-    p.add_argument("--out", type=str, default=None, help="override output directory")
 
     p = sub.add_parser("calibrate", help="run the pilot campaign and write fixtures")
     p.add_argument("--out", type=str, default=None, help="fixture path (default: packaged)")
@@ -112,6 +109,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_cloud_args(args) -> None:
+    """Hold one cloud's --n and --seed to the ranges of a campaign config."""
+    if args.n < 2:
+        raise ConfigError(f"--n must be >= 2, got {args.n}")
+    if not 0 <= args.seed < (1 << 64):
+        raise ConfigError(f"--seed must be a 64-bit unsigned integer, got {args.seed}")
+
+
 def _emit(obj, out: str | None = None) -> None:
     text = json.dumps(obj, indent=2, sort_keys=True)
     if out is None:
@@ -121,6 +126,7 @@ def _emit(obj, out: str | None = None) -> None:
 
 
 def _cmd_sample(args) -> int:
+    _check_cloud_args(args)
     cloud = sample_symmetric_cloud(args.n, args.m, args.seed)
     _emit(
         {
@@ -135,6 +141,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_hull(args) -> int:
+    _check_cloud_args(args)
     cloud = sample_symmetric_cloud(args.n, args.m, args.seed)
     fc = symmetric_hull(cloud)
     diag = validate_complex(fc)
@@ -153,6 +160,9 @@ def _cmd_hull(args) -> int:
 
 
 def _cmd_trial(args) -> int:
+    _check_cloud_args(args)
+    if args.oracle_samples < 0:
+        raise ConfigError(f"--oracle-samples must be >= 0, got {args.oracle_samples}")
     rec = run_trial(args.n, args.m, args.seed, args.oracle_samples)
     payload = json.loads(rec.to_json_line())
     payload["wall_time_ms"] = rec.wall_time_ms  # measured, not canonicalized
@@ -169,20 +179,7 @@ def _cmd_experiment(args) -> int:
         raise EmitError(f"cannot read config {args.config}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
-    config = ExperimentConfig.from_json_dict(raw)
-    updates = {}
-    if args.seed is not None:
-        updates["master_seed"] = args.seed
-    if args.trials is not None:
-        updates["trials"] = args.trials
-    if args.out is not None:
-        updates["output_dir"] = args.out
-    if updates:
-        import dataclasses
-
-        config = dataclasses.replace(config, **updates)
-        config.validate()
-    result = run_experiment(config)
+    result = run_experiment(ExperimentConfig.from_json_dict(raw))
     _emit(
         {
             "records": len(result.records),
@@ -202,7 +199,6 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    rule = AlphaRule("fixed", args.alpha) if args.alpha is not None else AlphaRule()
     path = Path(args.records)
     # a file that cannot be read is an i/o error (exit 3); one that reads
     # but does not parse is a bad input (exit 1)
@@ -224,7 +220,7 @@ def _cmd_check(args) -> int:
     if not 0 < c_star < math.inf:
         raise ConfigError(f"malformed fixture {fixture_file}: c_star {c_star} is not in (0, inf)")
     report = {
-        "inradius": check_inradius_bound(records, rule),
+        "inradius": check_inradius_bound(records, args.alpha),
         "second_moment": check_second_moment_bound(records),
         "lk_threshold": check_isotropy_threshold(records, c_star),
         "c_star": c_star,

@@ -69,7 +69,6 @@ from .sphere_stats import (
 )
 
 __all__ = [
-    "AlphaRule",
     "ExperimentConfig",
     "TrialRecord",
     "TrialError",
@@ -85,7 +84,6 @@ __all__ = [
     "records_from_csv",
     "records_from_jsonl",
     "default_grid",
-    "default_experiment_config",
     "run_calibration",
     "record_digests",
     "diff_record_digests",
@@ -175,24 +173,9 @@ def default_grid() -> list[tuple[int, int]]:
     return [(n, cell_points(n, r)) for n in DEFAULT_DIMS for r in DEFAULT_RATIOS]
 
 
-@dataclass(frozen=True)
-class AlphaRule:
-    """Inradius threshold rule: the default sqrt(log(m/n)/n)/(2 sqrt(2)), or fixed."""
-
-    kind: str = "default"
-    value: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("default", "fixed"):
-            raise ConfigError(f"unknown alpha rule {self.kind!r}")
-        # NaN fails both comparisons, so only a finite value >= 0 passes
-        if self.kind == "fixed" and (self.value is None or not 0 <= self.value < math.inf):
-            raise ConfigError(f"fixed alpha rule needs a finite value >= 0, got {self.value!r}")
-
-    def alpha(self, n: int, m: int) -> float:
-        if self.kind == "fixed":
-            return float(self.value)
-        return math.sqrt(math.log(m / n) / n) / (2.0 * math.sqrt(2.0))
+def default_alpha(n: int, m: int) -> float:
+    """The default inradius threshold sqrt(log(m/n)/n) / (2 sqrt(2)) of cell (n, m)."""
+    return math.sqrt(math.log(m / n) / n) / (2.0 * math.sqrt(2.0))
 
 
 def _config_int(value, what: str) -> int:
@@ -293,21 +276,6 @@ class ExperimentConfig:
         payload = {k: v for k, v in self.to_json_dict().items() if k in keys}
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
-
-
-def default_experiment_config(
-    output_dir: str | None = None,
-    trials: int = DEFAULT_TRIALS,
-    master_seed: int = DEFAULT_MASTER_SEED,
-    workers: int = 1,
-) -> ExperimentConfig:
-    return ExperimentConfig(
-        grid=tuple(default_grid()),
-        trials=trials,
-        master_seed=master_seed,
-        output_dir=output_dir,
-        workers=workers,
-    )
 
 
 @dataclass(frozen=True)
@@ -516,7 +484,7 @@ def summarize_records(records: Sequence[TrialRecord], failures: Sequence[dict] =
     """Per-cell summary statistics plus the config-free bound checks.
 
     The inradius figures come from :func:`check_inradius_bound` under the
-    default :class:`AlphaRule`, the second-moment figures from
+    default alpha (:func:`default_alpha`), the second-moment figures from
     :func:`check_second_moment_bound`; an empty record set (every trial
     failed) has no cells.
     """
@@ -668,8 +636,10 @@ def records_from_csv(path: str | Path) -> list[TrialRecord]:
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != ",".join(CSV_COLUMNS):
         raise ValueError(f"unexpected CSV header in {path}")
+    # a row with too few or too many fields raises ValueError
     return [
-        TrialRecord.from_values(dict(zip(CSV_COLUMNS, line.split(",")))) for line in lines[1:]
+        TrialRecord.from_values(dict(zip(CSV_COLUMNS, line.split(","), strict=True)))
+        for line in lines[1:]
     ]
 
 
@@ -682,29 +652,31 @@ def records_from_jsonl(path: str | Path) -> list[TrialRecord]:
 # Bound checks over record sets
 
 
-def check_inradius_bound(
-    records: Sequence[TrialRecord], alpha_rule: AlphaRule | None = None
-) -> list[dict]:
-    """Count, per cell, trials whose inradius falls below the alpha rule.
+def check_inradius_bound(records: Sequence[TrialRecord], alpha: float | None = None) -> list[dict]:
+    """Count, per cell, trials whose inradius falls below alpha.
 
-    Reports the empirical violation rate next to the theoretical reference
-    e^{-n}; this is a comparison, not an assertion (the reference holds
-    asymptotically and only for m above an unspecified multiple of n).
+    ``alpha`` is one fixed threshold for every cell, finite and >= 0; None
+    takes :func:`default_alpha` per cell.  Reports the empirical violation
+    rate next to the theoretical reference e^{-n}; this is a comparison,
+    not an assertion (the reference holds asymptotically and only for m
+    above an unspecified multiple of n).
     """
+    # NaN fails both comparisons, so only a finite value >= 0 passes
+    if alpha is not None and not 0 <= alpha < math.inf:
+        raise ConfigError(f"fixed alpha needs a finite value >= 0, got {alpha!r}")
     if not records:
         raise ValueError("no records")
-    rule = alpha_rule or AlphaRule()
     report = []
     for (n, m), recs in _cell_groups(records).items():
-        alpha = rule.alpha(n, m)
+        cell_alpha = default_alpha(n, m) if alpha is None else float(alpha)
         inr = np.array([r.inradius for r in recs])
-        violations = int(np.sum(inr < alpha))
+        violations = int(np.sum(inr < cell_alpha))
         report.append(
             {
                 "n": n,
                 "m": m,
                 "trials": len(recs),
-                "alpha": alpha,
+                "alpha": cell_alpha,
                 "violations": violations,
                 "rate": violations / len(recs),
                 "reference_rate": math.exp(-n),
@@ -1000,8 +972,12 @@ def run_calibration(trials: int, master_seed: int, workers: int) -> dict:
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        config = default_experiment_config(
-            output_dir=tmp, trials=trials, master_seed=master_seed, workers=workers
+        config = ExperimentConfig(
+            grid=tuple(default_grid()),
+            trials=trials,
+            master_seed=master_seed,
+            output_dir=tmp,
+            workers=workers,
         )
         result = run_experiment(config)
         csv_hash = hashlib.sha256(Path(result.paths["csv"]).read_bytes()).hexdigest()

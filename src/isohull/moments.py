@@ -22,8 +22,8 @@ doubled sums over one facet per pair (:meth:`FacetComplex.pairs`).  A
 complex whose facets do not pair raises :class:`InvalidComplexError` here.
 
 A Monte Carlo oracle (rejection volume for n <= 5, exact in-polytope
-sampling for the moments) provides an independent cross-check of every
-exact path.
+samples from :func:`sample_in_polytope` for the moments) provides an
+independent cross-check of every exact path.
 """
 
 from __future__ import annotations
@@ -165,7 +165,7 @@ def polytope_covariance(fc: FacetComplex) -> np.ndarray:
     return 0.5 * (cov + cov.T)
 
 
-def _sample_batch(fc: FacetComplex, count: int, stream: RngStream) -> np.ndarray:
+def sample_in_polytope(fc: FacetComplex, count: int, stream: RngStream) -> np.ndarray:
     """Exact uniform samples from the polytope, shape (count, n).
 
     Picks a cone with probability proportional to its volume, then places
@@ -179,11 +179,6 @@ def _sample_batch(fc: FacetComplex, count: int, stream: RngStream) -> np.ndarray
     e = np.asarray(stream.exponential((count, fc.n + 1)))
     w = e[:, 1:] / e.sum(axis=1, keepdims=True)
     return np.einsum("ck,cki->ci", w, fc.vertices[fc.vertex_ids[idx]])
-
-
-def sample_in_polytope(fc: FacetComplex, stream: RngStream) -> np.ndarray:
-    """One exact uniform sample from the polytope."""
-    return _sample_batch(fc, 1, stream)[0]
 
 
 @dataclass(frozen=True)
@@ -228,7 +223,7 @@ def mc_moment_oracle(fc: FacetComplex, n_samples: int, stream: RngStream) -> Ora
     hits = 0
     for chunk_index, lo in enumerate(range(0, n_samples, _ORACLE_CHUNK)):
         take = min(_ORACLE_CHUNK, n_samples - lo)
-        pts = _sample_batch(fc, take, ms_stream.child(chunk_index))
+        pts = sample_in_polytope(fc, take, ms_stream.child(chunk_index))
         sq = np.einsum("ci,ci->c", pts, pts)
         sum_sq += float(sq.sum())
         sum_sq2 += float(sq @ sq)

@@ -5,6 +5,7 @@ labelled wrapper around a pinned 64-bit generator.  Streams are addressed
 by a master seed plus a path of integer labels, so independent subsystems
 (cloud sampling, Monte Carlo oracles, parallel chunks) can derive
 non-overlapping streams from one seed and reproduce them exactly.
+Uniform sphere points come from one sampler, :func:`sample_symmetric_cloud`.
 
 The deterministic half of the module evaluates sphere statistics in closed
 form: absolute moments of a fixed linear functional, two-sided cap
@@ -25,13 +26,11 @@ __all__ = [
     "derive_seed",
     "RngStream",
     "PointCloud",
-    "sample_unit_vector",
     "sample_symmetric_cloud",
     "sphere_abs_moment",
     "cap_tail_prob",
     "psi2_norm_estimate",
     "bernstein_bound",
-    "sum_cross_inner",
     "InsufficientPointsError",
 ]
 
@@ -121,21 +120,6 @@ class RngStream:
         """Standard exponential draws (inverse CDF on stream uniforms)."""
         u = self._gen.random(size)
         return -np.log1p(-u)
-
-
-def sample_unit_vector(n: int, stream: RngStream) -> np.ndarray:
-    """One point uniform on the sphere S^{n-1}.
-
-    Draws n Gaussians and normalizes; the all-zero draw (probability 0)
-    triggers a redraw.
-    """
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    while True:
-        g = np.asarray(stream.gaussian(n))
-        norm = float(np.linalg.norm(g))
-        if norm > UNIT_NORM_TOL:
-            return g / norm
 
 
 @dataclass(eq=False)
@@ -291,18 +275,3 @@ def bernstein_bound(N: int, eps: float, A: float) -> float:
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     return 2.0 * math.exp(-(eps * eps) * N / (8.0 * A * A))
-
-
-def sum_cross_inner(points: Sequence[np.ndarray] | np.ndarray) -> float:
-    """Sum over ordered pairs i != j of <P_i, P_j>.
-
-    Uses the identity sum_{i != j} <P_i, P_j> = |sum P_i|^2 - sum |P_i|^2,
-    which is O(k n) instead of the O(k^2 n) double loop.
-    """
-    arr = np.asarray(points, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError("points must share a common dimension")
-    if arr.shape[0] < 1:
-        raise ValueError("need at least one vector")
-    total = arr.sum(axis=0)
-    return float(total @ total - np.einsum("ij,ij->", arr, arr))

@@ -16,8 +16,7 @@ import numpy as np
 import pytest
 
 from isohull.harness import (
-    AlphaRule,
-    default_experiment_config,
+    default_grid,
     check_inradius_bound,
     check_isotropy_threshold,
     check_second_moment_bound,
@@ -47,7 +46,6 @@ from isohull.sphere_stats import (
     cap_tail_prob,
     sample_symmetric_cloud,
     sphere_abs_moment,
-    sum_cross_inner,
 )
 from conftest import cross_polytope_complex, random_complex
 from oracles import brute_force_facets, double_loop_cross_inner
@@ -63,7 +61,7 @@ def fixture() -> dict:
 @pytest.fixture(scope="session")
 def campaign(tmp_path_factory):
     out = tmp_path_factory.mktemp("campaign")
-    config = default_experiment_config(output_dir=str(out), workers=2)
+    config = ExperimentConfig(grid=tuple(default_grid()), output_dir=str(out), workers=2)
     t0 = time.perf_counter()
     result = run_experiment(config)
     elapsed = time.perf_counter() - t0
@@ -204,15 +202,17 @@ def test_criterion_5_formula_cross_paths(campaign):
         V /= np.linalg.norm(V, axis=1, keepdims=True)
         assert abs(facet_mean_square(V) - facet_mean_square_pullback(V)) <= 1e-12
 
-    for i in range(100):
-        k = 2 + i % 9
-        pts = np.asarray(stream.gaussian((k, 3)))
-        assert abs(sum_cross_inner(pts) - double_loop_cross_inner(pts)) <= 1e-12
+    for n in range(2, 7):
+        assert np.all(cross_polytope_complex(n).cross_sums == 0.0)
 
-    # trace identity on fresh complexes; the campaign enforces it per trial
+    # the hull pass's cross sums and the trace identity on fresh complexes;
+    # the campaign enforces the identity per trial
     for tag in range(20):
         n = 2 + tag % 6
         fc = random_complex(n, 2 * n + 3, derive_seed(ACCEPT_SEED, [5, tag]))
+        for f in range(fc.facet_count):
+            expected = double_loop_cross_inner(fc.vertices[fc.vertex_ids[f]])
+            assert abs(fc.cross_sums[f] - expected) <= 1e-12
         ms = polytope_mean_square(fc)
         assert abs(np.trace(polytope_covariance(fc)) - ms) <= 1e-10 * ms
     result, _ = campaign
@@ -261,7 +261,7 @@ def test_criterion_7_calibrated_campaign(campaign, fixture):
     # (a) inradius violations equal the pilot fixture exactly; violations
     # occur only at ratios below the Lemma's (unspecified) m >= C n regime
     expected = {(n, m): v for n, m, v in fixture["campaign"]["inradius_violations"]}
-    report = check_inradius_bound(result.records, AlphaRule())
+    report = check_inradius_bound(result.records)
     for cell in report:
         assert cell["violations"] == expected[(cell["n"], cell["m"])]
     assert all(v == 0 for (n, m), v in expected.items() if m >= 3 * n)

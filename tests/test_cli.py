@@ -12,7 +12,7 @@ import pytest
 
 import isohull
 from isohull.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, build_parser, main
-from isohull.harness import ConfigError, ExperimentConfig, run_trial
+from isohull.harness import CSV_COLUMNS, ConfigError, ExperimentConfig, run_trial
 
 
 def run_main(capsys, *argv):
@@ -208,6 +208,8 @@ class TestCheck:
             ("records.csv", "n,m,trial\n3,9,0\n", False),
             ("records.jsonl", '{"n": 3, "m": 9, "tri', False),
             ("records.jsonl", '{"n": 3, "m": 9, "trial": 0}\n', False),
+            # 14 fields under the 13-column header
+            ("records.csv", ",".join(CSV_COLUMNS) + "\n3,9,0,11," + "0.5," * 6 + "10,0,0,7", False),
             ("fixture.json", '{"campaign": {"c_star": ', True),
             ("fixture.json", '{"campaign": {"c_star": 0}}', True),
         ],
@@ -216,6 +218,7 @@ class TestCheck:
             "csv-header",
             "truncated-jsonl",
             "jsonl-missing-column",
+            "csv-extra-field",
             "bad-fixture",
             "fixture-c-star-zero",
         ],
@@ -280,6 +283,31 @@ class TestUsage:
     def test_unknown_flag(self, capsys):
         code, _, err = run_main(capsys, "trial", "--n", "3", "--m", "9", "--bogus", "1")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--n", "1", "--m", "3", "--seed", "1"],
+            ["hull", "--n", "1", "--m", "3", "--seed", "1"],
+            ["trial", "--n", "3", "--m", "6", "--seed", "1", "--oracle-samples", "-5"],
+            ["trial", "--n", "3", "--m", "6", "--seed", "-1"],
+            ["trial", "--n", "3", "--m", "6", "--seed", str(1 << 64)],
+            ["sample", "--n", "3", "--m", "6", "--seed", "-1"],
+        ],
+        ids=[
+            "sample-n1",
+            "hull-n1",
+            "negative-oracle-samples",
+            "negative-seed",
+            "seed-2-64",
+            "sample-negative-seed",
+        ],
+    )
+    def test_cloud_input_out_of_range_is_config_error(self, capsys, argv):
+        code, out, err = run_main(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert out == ""
 
     def test_console_script_installed(self):
         # the child imports the same package as this process, also when the

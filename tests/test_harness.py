@@ -12,7 +12,6 @@ import pytest
 
 from isohull import harness
 from isohull.harness import (
-    AlphaRule,
     CSV_COLUMNS,
     ConfigError,
     EmitError,
@@ -22,6 +21,7 @@ from isohull.harness import (
     check_inradius_bound,
     check_isotropy_threshold,
     check_second_moment_bound,
+    default_alpha,
     default_grid,
     derive_seed,
     diff_record_digests,
@@ -91,18 +91,20 @@ class TestConfig:
 
 
 class TestAlphaRule:
+    """The inradius threshold: default_alpha per cell, or one fixed alpha."""
+
     def test_default_rule_value(self):
-        alpha = AlphaRule().alpha(8, 64)
+        alpha = default_alpha(8, 64)
         assert alpha == pytest.approx(math.sqrt(math.log(8.0) / 8.0) / (2 * math.sqrt(2)))
         assert alpha == pytest.approx(0.1803, abs=5e-5)
 
-    def test_fixed(self):
-        assert AlphaRule("fixed", 0.25).alpha(5, 10) == 0.25
+    def test_fixed(self, check_records):
+        assert all(c["alpha"] == 0.25 for c in check_inradius_bound(check_records, 0.25))
 
-    @pytest.mark.parametrize("value", [math.inf, math.nan, -0.1, None])
-    def test_fixed_needs_finite_non_negative_value(self, value):
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -0.1])
+    def test_fixed_needs_finite_non_negative_value(self, check_records, value):
         with pytest.raises(ConfigError):
-            AlphaRule("fixed", value)
+            check_inradius_bound(check_records, value)
 
 
 class TestRunTrial:
@@ -306,11 +308,11 @@ def check_records():
 class TestChecks:
 
     def test_inradius_fixed_zero_never_violated(self, check_records):
-        report = check_inradius_bound(check_records, AlphaRule("fixed", 0.0))
+        report = check_inradius_bound(check_records, 0.0)
         assert all(cell["violations"] == 0 for cell in report)
 
     def test_inradius_report_shape(self, check_records):
-        report = check_inradius_bound(check_records, AlphaRule())
+        report = check_inradius_bound(check_records)
         assert [(c["n"], c["m"]) for c in report] == [(3, 6), (4, 8), (4, 12)]
         for cell in report:
             assert cell["reference_rate"] == pytest.approx(math.exp(-cell["n"]))

@@ -23,7 +23,6 @@ from isohull.moments import (
     sample_in_polytope,
     simplex_pair_moment,
 )
-from isohull.moments import _sample_batch
 from isohull.hull import FacetComplex, InvalidComplexError, symmetric_hull, validate_complex
 from isohull.sphere_stats import PointCloud, RngStream
 from conftest import cross_polytope_complex, random_complex
@@ -168,20 +167,20 @@ class TestPolytopeCovariance:
 
 class TestSampling:
     def test_membership(self, octahedron):
-        pts = _sample_batch(octahedron, 50_000, RngStream(91))
+        pts = sample_in_polytope(octahedron, 50_000, RngStream(91))
         slack = pts @ octahedron.normals.T - octahedron.dists[None, :]
         assert slack.max() <= 1e-9
-        one = sample_in_polytope(octahedron, RngStream(92))
-        assert np.abs(one).sum() <= 1.0 + 1e-9
+        one = sample_in_polytope(octahedron, 1, RngStream(92))
+        assert one.shape == (1, 3) and np.abs(one).sum() <= 1.0 + 1e-9
 
     def test_mean_vanishes(self, octahedron):
-        pts = _sample_batch(octahedron, 100_000, RngStream(93))
+        pts = sample_in_polytope(octahedron, 100_000, RngStream(93))
         # per-coordinate variance is mean_square / n = 0.1
         se = math.sqrt(0.1 / len(pts))
         assert np.abs(pts.mean(axis=0)).max() < 4.0 * se
 
     def test_octant_uniformity(self, octahedron):
-        pts = _sample_batch(octahedron, 100_000, RngStream(94))
+        pts = sample_in_polytope(octahedron, 100_000, RngStream(94))
         octant = (pts[:, 0] > 0) * 4 + (pts[:, 1] > 0) * 2 + (pts[:, 2] > 0)
         counts = np.bincount(octant, minlength=8)
         expected = len(pts) / 8.0

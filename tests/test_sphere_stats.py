@@ -14,10 +14,9 @@ from isohull.sphere_stats import (
     derive_seed,
     psi2_norm_estimate,
     sample_symmetric_cloud,
-    sample_unit_vector,
     sphere_abs_moment,
-    sum_cross_inner,
 )
+from conftest import cross_polytope_complex, random_complex
 from oracles import GAUSSIAN_4SIGMA_P, double_loop_cross_inner
 
 
@@ -75,18 +74,17 @@ class TestRngStream:
 
 
 class TestSampleUnitVector:
+    """The rows of sample_symmetric_cloud, the pipeline's one sphere sampler."""
+
     def test_unit_norm(self):
-        st = RngStream(21)
-        for n in (1, 2, 5, 17):
-            v = sample_unit_vector(n, st)
-            assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+        for n in (2, 5, 17):
+            norms = np.linalg.norm(sample_symmetric_cloud(n, 3 * n, 21).points, axis=1)
+            assert np.abs(norms - 1.0).max() <= 1e-12
 
     def test_second_moment_matches_closed_form(self):
         # E <v, theta>^2 = 1/n; the standard error uses the exact fourth moment
         n, draws = 5, 100_000
-        st = RngStream(22)
-        g = np.asarray(st.gaussian((draws, n)))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        g = sample_symmetric_cloud(n, draws, 22).points
         x2 = g[:, 0] ** 2
         var = sphere_abs_moment(n, 4) - (1.0 / n) ** 2
         se = math.sqrt(var / draws)
@@ -95,9 +93,7 @@ class TestSampleUnitVector:
     def test_cap_frequency_n3(self):
         # one-sided cap on S^2 has measure (1 - alpha) / 2
         draws = 100_000
-        st = RngStream(23)
-        g = np.asarray(st.gaussian((draws, 3)))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        g = sample_symmetric_cloud(3, draws, 23).points
         for alpha in (0.2, 0.5):
             p = (1.0 - alpha) / 2.0
             freq = float(np.mean(g[:, 0] > alpha))
@@ -106,8 +102,7 @@ class TestSampleUnitVector:
 
     def test_rotation_invariance_ks(self):
         draws, n = 100_000, 4
-        g = np.asarray(RngStream(24).gaussian((draws, n)))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        g = sample_symmetric_cloud(n, draws, 24).points
         rot, _ = np.linalg.qr(np.asarray(RngStream(25).gaussian((n, n))))
         theta = np.zeros(n)
         theta[0] = 1.0
@@ -299,17 +294,16 @@ class TestBernsteinBound:
 
 
 class TestSumCrossInner:
-    def test_orthogonal_pair(self):
-        assert sum_cross_inner(np.eye(2)) == 0.0
+    """The facet cross sums of symmetric_hull's representative pass."""
 
-    def test_repeated_unit_vector(self):
-        v = np.array([0.6, 0.8])
-        assert abs(sum_cross_inner(np.vstack([v, v])) - 2.0) <= 1e-12
+    def test_orthogonal_pair(self):
+        # a cross-polytope facet's vertices are pairwise orthogonal
+        for n in range(2, 7):
+            assert np.all(cross_polytope_complex(n).cross_sums == 0.0)
 
     def test_matches_double_loop(self):
-        pts = np.asarray(RngStream(51).gaussian((10, 4)))
-        assert abs(sum_cross_inner(pts) - double_loop_cross_inner(pts)) <= 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            sum_cross_inner([np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0])])
+        for n, m, seed in ((2, 7, 51), (4, 10, 52), (6, 14, 53)):
+            fc = random_complex(n, m, seed)
+            for f in range(fc.facet_count):
+                expected = double_loop_cross_inner(fc.vertices[fc.vertex_ids[f]])
+                assert abs(fc.cross_sums[f] - expected) <= 1e-12
