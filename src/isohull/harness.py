@@ -66,6 +66,7 @@ from .sphere_stats import (
     psi2_norm_estimate,
     sample_symmetric_cloud,
     sphere_abs_moment,
+    sphere_points,
 )
 
 __all__ = [
@@ -205,11 +206,13 @@ class ExperimentConfig:
     def validate(self) -> None:
         if not self.grid:
             raise ConfigError("grid must contain at least one (n, m) cell")
-        for n, m in self.grid:
+        for i, (n, m) in enumerate(self.grid):
             if n < 2:
                 raise ConfigError(f"cell dimension must be >= 2, got n={n}")
             if m <= n:
                 raise ConfigError(f"cell must satisfy m > n, got (n={n}, m={m})")
+            if self.grid[i] in self.grid[:i]:
+                raise ConfigError(f"grid repeats cell (n={n}, m={m})")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if not 0 <= self.master_seed < (1 << 64):
@@ -365,6 +368,8 @@ def run_trial(
     """
     if n < 2 or m <= n:
         raise ConfigError(f"need m > n >= 2, got (n={n}, m={m})")
+    if not 0 <= seed < (1 << 64):
+        raise ConfigError(f"seed must be a 64-bit unsigned integer, got {seed}")
     t0 = time.perf_counter()
     attempt_seed = int(seed)
     resampled = 0
@@ -773,9 +778,7 @@ def psi2_sphere_estimates() -> dict[int, float]:
     """
     out = {}
     for n in PSI2_CAL_DIMS:
-        stream = RngStream(PSI2_CAL_SEED, (n,))
-        g = np.asarray(stream.gaussian((PSI2_CAL_SAMPLES, n)))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        g = sphere_points(n, PSI2_CAL_SAMPLES, RngStream(PSI2_CAL_SEED, (n,)))
         out[int(n)] = psi2_norm_estimate(math.sqrt(n) * g[:, 0])
     return out
 
@@ -785,10 +788,10 @@ def bernstein_tail_table(a_hat: float) -> list[dict]:
     rows = []
     for n in BERNSTEIN_CAL_DIMS:
         for N in BERNSTEIN_CAL_COUNTS:
-            stream = RngStream(BERNSTEIN_CAL_SEED, (n, N))
-            g = np.asarray(stream.gaussian((BERNSTEIN_CAL_REPLICATIONS, N, n)))
-            g /= np.linalg.norm(g, axis=2, keepdims=True)
-            sums = math.sqrt(n) * g[:, :, 0].sum(axis=1)
+            # row-major (R*N, n) is the (R, N, n) draw, so rows regroup by replication
+            R = BERNSTEIN_CAL_REPLICATIONS
+            g = sphere_points(n, R * N, RngStream(BERNSTEIN_CAL_SEED, (n, N)))
+            sums = math.sqrt(n) * g[:, 0].reshape(R, N).sum(axis=1)
             for eps in BERNSTEIN_CAL_EPS:
                 tail = float(np.mean(np.abs(sums) > eps * N))
                 bound = bernstein_bound(N, eps, a_hat)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hull import UNIT_VERTEX_TOL, FacetComplex, InvalidComplexError
-from .sphere_stats import RngStream, ball_volume
+from .sphere_stats import RngStream, ball_volume, sphere_points
 
 __all__ = [
     "simplex_pair_moment",
@@ -232,10 +232,9 @@ def mc_moment_oracle(fc: FacetComplex, n_samples: int, stream: RngStream) -> Ora
         cov_sum2 += (outer * outer).sum(axis=0)
         if estimate_volume:
             cs = vol_stream.child(chunk_index)
-            g = np.asarray(cs.gaussian((take, n)))
-            g /= np.linalg.norm(g, axis=1, keepdims=True)
+            dirs = sphere_points(n, take, cs)
             radii = r_max * np.asarray(cs.uniform(take)) ** (1.0 / n)
-            pts = g * radii[:, None]
+            pts = dirs * radii[:, None]
             hits += int(np.all(pts @ fc.normals.T <= fc.dists + _MEMBERSHIP_TOL, axis=1).sum())
 
     ms = sum_sq / n_samples

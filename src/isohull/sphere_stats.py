@@ -5,7 +5,8 @@ labelled wrapper around a pinned 64-bit generator.  Streams are addressed
 by a master seed plus a path of integer labels, so independent subsystems
 (cloud sampling, Monte Carlo oracles, parallel chunks) can derive
 non-overlapping streams from one seed and reproduce them exactly.
-Uniform sphere points come from one sampler, :func:`sample_symmetric_cloud`.
+Uniform sphere points come from one sampler, :func:`sphere_points`; the
+trial clouds, the calibration draws and the Monte Carlo oracle all call it.
 
 The deterministic half of the module evaluates sphere statistics in closed
 form: absolute moments of a fixed linear functional, two-sided cap
@@ -26,6 +27,7 @@ __all__ = [
     "derive_seed",
     "RngStream",
     "PointCloud",
+    "sphere_points",
     "sample_symmetric_cloud",
     "sphere_abs_moment",
     "cap_tail_prob",
@@ -98,10 +100,8 @@ class RngStream:
         """Uniform float64 draws in [0, 1)."""
         return self._gen.random(size)
 
-    def gaussian(self, size=None) -> np.ndarray | float:
+    def gaussian(self, size: int | Sequence[int]) -> np.ndarray:
         """Standard normal draws via Box-Muller on stream uniforms."""
-        if size is None:
-            return float(self.gaussian(1)[0])
         shape = (size,) if isinstance(size, int) else tuple(size)
         total = int(np.prod(shape)) if shape else 1
         pairs = (total + 1) // 2
@@ -164,6 +164,18 @@ class PointCloud:
 CLOUD_STREAM_LABEL = 0
 
 
+def sphere_points(n: int, count: int, stream: RngStream) -> np.ndarray:
+    """``count`` uniform points on S^{n-1} as rows: normalized Gaussian rows,
+    a row of norm <= UNIT_NORM_TOL redrawn from the same stream."""
+    g = stream.gaussian((count, n))
+    norms = np.linalg.norm(g, axis=1)
+    while np.any(norms <= UNIT_NORM_TOL):
+        bad = norms <= UNIT_NORM_TOL
+        g[bad] = stream.gaussian((int(bad.sum()), n))
+        norms = np.linalg.norm(g, axis=1)
+    return g / norms[:, None]
+
+
 def sample_symmetric_cloud(n: int, m: int, seed: int) -> PointCloud:
     """m independent uniform sphere points, deterministic in (n, m, seed).
 
@@ -177,24 +189,13 @@ def sample_symmetric_cloud(n: int, m: int, seed: int) -> PointCloud:
             f"insufficient points for full-dimensional symmetric hull: "
             f"need m > n, got m={m}, n={n}"
         )
-    stream = RngStream(seed, (CLOUD_STREAM_LABEL,))
-    g = np.asarray(stream.gaussian((m, n)))
-    norms = np.linalg.norm(g, axis=1)
-    while np.any(norms <= UNIT_NORM_TOL):
-        bad = norms <= UNIT_NORM_TOL
-        g[bad] = np.asarray(stream.gaussian((int(bad.sum()), n)))
-        norms = np.linalg.norm(g, axis=1)
-    return PointCloud(g / norms[:, None], seed=int(seed) & _MASK64)
-
-
-def _log_ball_volume(n: int) -> float:
-    # log volume of the unit euclidean ball in R^n
-    return 0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n + 1.0)
+    points = sphere_points(n, m, RngStream(seed, (CLOUD_STREAM_LABEL,)))
+    return PointCloud(points, seed=int(seed) & _MASK64)
 
 
 def ball_volume(n: int) -> float:
     """Volume of the unit euclidean ball in R^n."""
-    return math.exp(_log_ball_volume(n))
+    return math.exp(0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n + 1.0))
 
 
 def sphere_abs_moment(n: int, q: float) -> float:

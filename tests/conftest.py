@@ -9,7 +9,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from isohull.hull import FacetComplex, symmetric_hull
-from isohull.sphere_stats import PointCloud, sample_symmetric_cloud
+from isohull.sphere_stats import PointCloud, RngStream, sample_symmetric_cloud
 
 
 def cross_polytope_complex(n: int) -> FacetComplex:
@@ -18,6 +18,13 @@ def cross_polytope_complex(n: int) -> FacetComplex:
 
 def random_complex(n: int, m: int, seed: int) -> FacetComplex:
     return symmetric_hull(sample_symmetric_cloud(n, m, seed))
+
+
+def bounded_condition_map(stream: RngStream, n: int, low: float, span: float) -> np.ndarray:
+    """U diag(s) V^t with orthogonal U, V and singular values s in [low, low + span)."""
+    U, _ = np.linalg.qr(stream.gaussian((n, n)))
+    V, _ = np.linalg.qr(stream.gaussian((n, n)))
+    return U @ np.diag(low + span * stream.uniform(n)) @ V.T
 
 
 @pytest.fixture

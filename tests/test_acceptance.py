@@ -46,8 +46,9 @@ from isohull.sphere_stats import (
     cap_tail_prob,
     sample_symmetric_cloud,
     sphere_abs_moment,
+    sphere_points,
 )
-from conftest import cross_polytope_complex, random_complex
+from conftest import bounded_condition_map, cross_polytope_complex, random_complex
 from oracles import brute_force_facets, double_loop_cross_inner
 
 ACCEPT_SEED = 777001
@@ -154,8 +155,7 @@ def test_criterion_4_isotropy_identities(campaign):
         fc_iso = symmetric_hull(cloud)
         assert abs(polytope_volume(fc_iso) - 1.0) <= 1e-10
         cov_iso = polytope_covariance(fc_iso)
-        thetas = np.asarray(RngStream(ACCEPT_SEED, (4, 10, tag)).gaussian((100, n)))
-        thetas /= np.linalg.norm(thetas, axis=1, keepdims=True)
+        thetas = sphere_points(n, 100, RngStream(ACCEPT_SEED, (4, 10, tag)))
         dirs = np.einsum("ti,ij,tj->t", thetas, cov_iso, thetas)
         assert (dirs.max() - dirs.min()) / dirs.mean() < 1e-8
 
@@ -165,10 +165,7 @@ def test_criterion_4_isotropy_identities(campaign):
         base = isotropy_constant(polytope_volume(fc), polytope_covariance(fc)).l_k
         st = RngStream(ACCEPT_SEED, (4, 21, tag))
         for _ in range(2):
-            U, _r = np.linalg.qr(np.asarray(st.gaussian((n, n))))
-            V, _r = np.linalg.qr(np.asarray(st.gaussian((n, n))))
-            s = 0.4 + 3.6 * np.asarray(st.uniform(n))  # condition <= 10
-            T = U @ np.diag(s) @ V.T
+            T = bounded_condition_map(st, n, 0.4, 3.6)  # condition <= 10
             fc2 = symmetric_hull(fc.source.transformed(T))
             lk2 = isotropy_constant(polytope_volume(fc2), polytope_covariance(fc2)).l_k
             assert abs(lk2 - base) <= 1e-8 * base
@@ -198,8 +195,7 @@ def test_criterion_5_formula_cross_paths(campaign):
     stream = RngStream(ACCEPT_SEED, (5,))
     for i in range(1000):
         n = 2 + i % 7
-        V = np.asarray(stream.gaussian((n, n)))
-        V /= np.linalg.norm(V, axis=1, keepdims=True)
+        V = sphere_points(n, n, stream)
         assert abs(facet_mean_square(V) - facet_mean_square_pullback(V)) <= 1e-12
 
     for n in range(2, 7):
@@ -226,8 +222,7 @@ def test_criterion_6_sphere_statistics(fixture):
 
     draws = 100_000
     for n in (3, 6, 10):
-        g = np.asarray(RngStream(ACCEPT_SEED, (6, n)).gaussian((draws, n)))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        g = sphere_points(n, draws, RngStream(ACCEPT_SEED, (6, n)))
         for alpha in (0.15, 0.35, 0.6):
             p = cap_tail_prob(n, alpha)
             freq = float(np.mean(np.abs(g[:, 0]) > alpha))

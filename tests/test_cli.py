@@ -74,6 +74,28 @@ class TestTrial:
         assert "oracle_deltas" in json.loads(out)
 
 
+# config cases that must be one-line config errors, by test id
+MALFORMED_CONFIGS = {
+    "emit-list": {"grid": [[2, 4]], "emit": ["csv"]},
+    "trials-text": {"grid": [[2, 4]], "trials": "abc"},
+    "grid-entry-without-n": {"grid": [{"m": 4}]},
+    "grid-entry-scalar": {"grid": [3]},
+    "grid-scalar": {"grid": 5},
+    "emit-unknown-format": {"grid": [[2, 4]], "emit": "xml"},
+    "emit-text-flag": {"grid": [[2, 4]], "emit": {"csv": "no"}},
+    "emit-unknown-key": {"grid": [[2, 4]], "emit": {"xml": True}},
+    "grid-fraction": {"grid": [[2.7, 5]]},
+    "grid-entry-text": {"grid": ["25"]},
+    "trials-fraction": {"grid": [[2, 4]], "trials": 3.9},
+    "trials-bool": {"grid": [[2, 4]], "trials": True},
+    "workers-fraction": {"grid": [[2, 4]], "workers": 1.5},
+    "ratio-bool": {"grid": [{"n": 4, "ratio": True}]},
+    "alpha-bool": {"grid": [[2, 4]], "alpha_rule": {"fixed": True}},
+    "output-dir-number": {"grid": [[2, 4]], "output_dir": 5},
+    "grid-repeated-cell": {"grid": [[3, 6], [3, 6]], "trials": 2},
+}
+
+
 class TestExperiment:
     def test_runs_config_file(self, capsys, tmp_path):
         config = {
@@ -104,45 +126,7 @@ class TestExperiment:
         )
         assert code == EXIT_IO
 
-    @pytest.mark.parametrize(
-        "config",
-        [
-            {"grid": [[2, 4]], "emit": ["csv"]},
-            {"grid": [[2, 4]], "trials": "abc"},
-            {"grid": [{"m": 4}]},
-            {"grid": [3]},
-            {"grid": 5},
-            {"grid": [[2, 4]], "emit": "xml"},
-            {"grid": [[2, 4]], "emit": {"csv": "no"}},
-            {"grid": [[2, 4]], "emit": {"xml": True}},
-            {"grid": [[2.7, 5]]},
-            {"grid": ["25"]},
-            {"grid": [[2, 4]], "trials": 3.9},
-            {"grid": [[2, 4]], "trials": True},
-            {"grid": [[2, 4]], "workers": 1.5},
-            {"grid": [{"n": 4, "ratio": True}]},
-            {"grid": [[2, 4]], "alpha_rule": {"fixed": True}},
-            {"grid": [[2, 4]], "output_dir": 5},
-        ],
-        ids=[
-            "emit-list",
-            "trials-text",
-            "grid-entry-without-n",
-            "grid-entry-scalar",
-            "grid-scalar",
-            "emit-unknown-format",
-            "emit-text-flag",
-            "emit-unknown-key",
-            "grid-fraction",
-            "grid-entry-text",
-            "trials-fraction",
-            "trials-bool",
-            "workers-fraction",
-            "ratio-bool",
-            "alpha-bool",
-            "output-dir-number",
-        ],
-    )
+    @pytest.mark.parametrize("config", MALFORMED_CONFIGS.values(), ids=list(MALFORMED_CONFIGS))
     def test_malformed_config_is_config_error(self, capsys, tmp_path, config):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json_dict(config)

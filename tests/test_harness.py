@@ -39,6 +39,10 @@ from isohull.moments import polytope_volume
 from isohull.sphere_stats import sample_symmetric_cloud
 
 
+def injected_failure(*args, **kwargs):
+    raise InvalidComplexError("injected failure")
+
+
 def small_config(tmp_path, **overrides) -> ExperimentConfig:
     base = dict(
         grid=((2, 4), (3, 6)),
@@ -70,6 +74,13 @@ class TestConfig:
     def test_rejects_m_not_above_n(self, tmp_path):
         with pytest.raises(ConfigError):
             small_config(tmp_path, grid=((3, 3),)).validate()
+
+    def test_repeated_cell_fails_before_any_process(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", injected_failure)
+        monkeypatch.setattr(harness, "_trial_task", injected_failure)
+        cfg = small_config(tmp_path, grid=((3, 6), (2, 4), (3, 6)), workers=2)
+        with pytest.raises(ConfigError, match=r"repeats cell \(n=3, m=6\)"):
+            run_experiment(cfg)
 
     def test_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
@@ -131,6 +142,11 @@ class TestRunTrial:
     def test_rejects_bad_cell(self):
         with pytest.raises(ConfigError):
             run_trial(3, 3, 1)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_seed_outside_64_bits(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            run_trial(3, 6, seed)
 
 
 class TestRunExperiment:
@@ -206,19 +222,13 @@ class TestRunExperiment:
         ],
     )
     def test_failure_row_names_its_stage(self, monkeypatch, name, stage):
-        def failing(*args, **kwargs):
-            raise InvalidComplexError("injected failure")
-
-        monkeypatch.setattr(harness, name, failing)
+        monkeypatch.setattr(harness, name, injected_failure)
         status, row = harness._trial_task((3, 6, 0, 11))
         assert status == "failed"
         assert row["stage"] == stage
 
     def test_oracle_failure_names_its_stage(self, monkeypatch):
-        def failing(*args, **kwargs):
-            raise InvalidComplexError("injected failure")
-
-        monkeypatch.setattr(harness, "mc_moment_oracle", failing)
+        monkeypatch.setattr(harness, "mc_moment_oracle", injected_failure)
         with pytest.raises(InvalidComplexError) as info:
             run_trial(3, 6, 11, oracle_samples=100)
         assert info.value.stage == "oracle"
@@ -226,10 +236,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_campaign_runs_no_oracle(self, tmp_path, monkeypatch, workers):
         # forked workers inherit the patched oracle; any call would be a failure row
-        def failing(*args, **kwargs):
-            raise InvalidComplexError("oracle called")
-
-        monkeypatch.setattr(harness, "mc_moment_oracle", failing)
+        monkeypatch.setattr(harness, "mc_moment_oracle", injected_failure)
         res = run_experiment(small_config(tmp_path, trials=2, workers=workers))
         assert res.failures == []
         assert len(res.records) == 4

@@ -14,24 +14,15 @@ from isohull.isotropy import (
     isotropy_constant,
 )
 from isohull.moments import polytope_covariance, polytope_volume
-from isohull.sphere_stats import RngStream
+from isohull.sphere_stats import RngStream, sphere_points
 from isohull.hull import inradius
-from conftest import cross_polytope_complex, random_complex
+from conftest import bounded_condition_map, cross_polytope_complex, random_complex
 from oracles import cofactor_det
 
 
 def random_spd(n: int, seed: int) -> np.ndarray:
     A = np.asarray(RngStream(seed).gaussian((n, n)))
     return A @ A.T + 0.05 * np.eye(n)
-
-
-def bounded_condition_map(n: int, seed: int) -> np.ndarray:
-    # singular values in [0.5, 2.0] keep the condition number at most 4
-    st = RngStream(seed)
-    U, _ = np.linalg.qr(np.asarray(st.gaussian((n, n))))
-    V, _ = np.linalg.qr(np.asarray(st.gaussian((n, n))))
-    s = 0.5 + 1.5 * np.asarray(st.uniform(n))
-    return U @ np.diag(s) @ V.T
 
 
 def det_cov(covariance: np.ndarray) -> float:
@@ -113,7 +104,7 @@ class TestIsotropyConstant:
         fc = random_complex(3, 9, 512)
         base = isotropy_constant(polytope_volume(fc), polytope_covariance(fc)).l_k
         for seed in (513, 514):
-            T = bounded_condition_map(3, seed)
+            T = bounded_condition_map(RngStream(seed), 3, 0.5, 1.5)  # condition <= 4
             fc2 = symmetric_hull(fc.source.transformed(T))
             other = isotropy_constant(polytope_volume(fc2), polytope_covariance(fc2)).l_k
             assert other == pytest.approx(base, rel=1e-8)
@@ -160,8 +151,7 @@ class TestIsotropicTransform:
         fc2 = symmetric_hull(cloud)
         assert polytope_volume(fc2) == pytest.approx(1.0, abs=1e-10)
         cov2 = polytope_covariance(fc2)
-        thetas = np.asarray(RngStream(521).gaussian((100, 3)))
-        thetas /= np.linalg.norm(thetas, axis=1, keepdims=True)
+        thetas = sphere_points(3, 100, RngStream(521))
         moments = np.einsum("ti,ij,tj->t", thetas, cov2, thetas)
         spread = (moments.max() - moments.min()) / moments.mean()
         assert spread < 1e-8

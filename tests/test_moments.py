@@ -24,14 +24,9 @@ from isohull.moments import (
     simplex_pair_moment,
 )
 from isohull.hull import FacetComplex, InvalidComplexError, symmetric_hull, validate_complex
-from isohull.sphere_stats import PointCloud, RngStream
+from isohull.sphere_stats import PointCloud, RngStream, sphere_points
 from conftest import cross_polytope_complex, random_complex
 from oracles import GAUSSIAN_4SIGMA_P, segment_mean_square
-
-
-def random_unit_rows(k: int, n: int, seed: int) -> np.ndarray:
-    g = np.asarray(RngStream(seed).gaussian((k, n)))
-    return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
 class TestSimplexPairMoment:
@@ -72,14 +67,14 @@ class TestFacetMeanSquare:
     def test_pullback_route_agrees(self):
         for seed in range(40):
             n = 2 + seed % 5
-            V = random_unit_rows(n, n, 1000 + seed)
+            V = sphere_points(n, n, RngStream(1000 + seed))
             assert abs(facet_mean_square(V) - facet_mean_square_pullback(V)) <= 1e-12
 
     def test_cross_sum_rearrangement(self):
         # sum_{i != j} <Q_i, Q_j> = n (n+1) fms - 2n for unit vertices
         for seed in range(10):
             n = 3 + seed % 4
-            V = random_unit_rows(n, n, 2000 + seed)
+            V = sphere_points(n, n, RngStream(2000 + seed))
             fms = facet_mean_square(V)
             s = V.sum(axis=0)
             cross = float(s @ s) - n

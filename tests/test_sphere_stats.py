@@ -15,6 +15,7 @@ from isohull.sphere_stats import (
     psi2_norm_estimate,
     sample_symmetric_cloud,
     sphere_abs_moment,
+    sphere_points,
 )
 from conftest import cross_polytope_complex, random_complex
 from oracles import GAUSSIAN_4SIGMA_P, double_loop_cross_inner
@@ -74,7 +75,21 @@ class TestRngStream:
 
 
 class TestSampleUnitVector:
-    """The rows of sample_symmetric_cloud, the pipeline's one sphere sampler."""
+    """The rows of sphere_points, the one sphere sampler, as clouds draw them."""
+
+    def test_zero_row_is_redrawn_from_the_same_stream(self):
+        draws = [np.array([[3.0, 4.0], [0.0, 0.0], [0.0, -2.0]]), np.array([[-5.0, 12.0]])]
+        calls = []
+
+        class StubStream:
+            def gaussian(self, size):
+                calls.append(size)
+                return draws[len(calls) - 1]
+
+        pts = sphere_points(2, 3, StubStream())
+        assert calls == [(3, 2), (1, 2)]
+        # unit rows, the zero row replaced by the second draw
+        assert np.array_equal(pts, [[0.6, 0.8], [-5.0 / 13.0, 12.0 / 13.0], [0.0, -1.0]])
 
     def test_unit_norm(self):
         for n in (2, 5, 17):
@@ -223,8 +238,7 @@ class TestCapTailProb:
     def test_matches_empirical_frequency(self):
         draws = 100_000
         for n in (3, 6):
-            g = np.asarray(RngStream(31, (n,)).gaussian((draws, n)))
-            g /= np.linalg.norm(g, axis=1, keepdims=True)
+            g = sphere_points(n, draws, RngStream(31, (n,)))
             for alpha in (0.2, 0.4):
                 p = cap_tail_prob(n, alpha)
                 freq = float(np.mean(np.abs(g[:, 0]) > alpha))
@@ -289,8 +303,10 @@ class TestBernsteinBound:
         from isohull.harness import bernstein_tail_table
 
         a_hat = calibration["psi2"]["a_hat"]
-        for row in bernstein_tail_table(a_hat):
-            assert row["tail"] <= row["bound"]
+        rows = bernstein_tail_table(a_hat)
+        assert all(row["tail"] <= row["bound"] for row in rows)
+        # the pinned stream reproduces the fixture's rows exactly
+        assert rows == calibration["bernstein"]["rows"]
 
 
 class TestSumCrossInner:
