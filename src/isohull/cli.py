@@ -26,6 +26,7 @@ from .harness import (
     EmitError,
     ExperimentConfig,
     TrialError,
+    check_cell,
     check_inradius_bound,
     check_isotropy_threshold,
     check_second_moment_bound,
@@ -142,6 +143,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_hull(args) -> int:
     _check_cloud_args(args)
+    check_cell(args.n, args.m)
     cloud = sample_symmetric_cloud(args.n, args.m, args.seed)
     fc = symmetric_hull(cloud)
     diag = validate_complex(fc)

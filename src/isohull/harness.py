@@ -76,6 +76,7 @@ __all__ = [
     "ConfigError",
     "EmitError",
     "ExperimentResult",
+    "check_cell",
     "run_trial",
     "run_experiment",
     "check_inradius_bound",
@@ -179,6 +180,12 @@ def default_alpha(n: int, m: int) -> float:
     return math.sqrt(math.log(m / n) / n) / (2.0 * math.sqrt(2.0))
 
 
+def check_cell(n: int, m: int) -> None:
+    """Raise ConfigError unless m > n >= 2 and facet keys fit, C(2m, n) < 2^64 (no n >= 33)."""
+    if n < 2 or m <= n or n >= 33 or math.comb(2 * m, n) >= 1 << 64:
+        raise ConfigError(f"cell needs m > n >= 2 and C(2m, n) < 2^64, got (n={n}, m={m})")
+
+
 def _config_int(value, what: str) -> int:
     """An int, an integral float or an integer string; never a bool."""
     if isinstance(value, float) and value.is_integer() or (
@@ -207,10 +214,7 @@ class ExperimentConfig:
         if not self.grid:
             raise ConfigError("grid must contain at least one (n, m) cell")
         for i, (n, m) in enumerate(self.grid):
-            if n < 2:
-                raise ConfigError(f"cell dimension must be >= 2, got n={n}")
-            if m <= n:
-                raise ConfigError(f"cell must satisfy m > n, got (n={n}, m={m})")
+            check_cell(n, m)
             if self.grid[i] in self.grid[:i]:
                 raise ConfigError(f"grid repeats cell (n={n}, m={m})")
         if self.trials < 1:
@@ -288,7 +292,7 @@ class TrialRecord:
     ``wall_time_ms`` is measured elapsed time and is the one field outside
     the determinism contract; campaign emission zeroes it.  ``oracle_deltas``
     (exact minus estimate, in standard-error units) is diagnostic only and
-    never serialized into campaign files.
+    never serialized into campaign files.  Its cell must pass :func:`check_cell`.
     """
 
     n: int
@@ -305,6 +309,9 @@ class TrialRecord:
     resampled: int
     wall_time_ms: float
     oracle_deltas: dict | None = field(default=None, compare=False)
+
+    def __post_init__(self):
+        check_cell(self.n, self.m)
 
     def _texts(self) -> list[str]:
         """Each column's canonical text, in CSV_COLUMNS order."""
@@ -366,8 +373,7 @@ def run_trial(
     oracle; a covariance that is not positive-definite fails at isotropy
     (``NotSPDError``).
     """
-    if n < 2 or m <= n:
-        raise ConfigError(f"need m > n >= 2, got (n={n}, m={m})")
+    check_cell(n, m)
     if not 0 <= seed < (1 << 64):
         raise ConfigError(f"seed must be a 64-bit unsigned integer, got {seed}")
     t0 = time.perf_counter()
@@ -702,8 +708,6 @@ def check_second_moment_bound(records: Sequence[TrialRecord]) -> dict:
         raise ValueError("no records")
     cells = []
     for (n, m), recs in _cell_groups(records).items():
-        if m <= n:
-            raise ConfigError(f"cell (n={n}, m={m}) has log(m/n) <= 0")
         log_ratio = math.log(m / n)
         ms = np.array([r.mean_square for r in recs])
         mc = np.array([r.max_facet_cross for r in recs])

@@ -13,11 +13,12 @@ A detected coplanarity (more than n points on one facet's hyperplane)
 fails validation, so the caller can resample with a fresh derived seed
 instead of perturbing coordinates.
 
-Each facet is identified by one key: its sorted vertex ids packed into a
-uint64 (when they fit), which orders facets lexicographically and from
-which every ridge key is sliced without materializing the ridges.  Row i
-+ m of the vertex table is the exact negation of row i; the plane sweep
-relies on that to visit only the m base points, and the
+Each facet is identified by one uint64 key, the lexicographic rank of its
+sorted vertex ids among all n-subsets of the 2m ids (combinatorial number
+system; Knuth, TAOCP 4A 7.2.1.3), exact while C(2m, n) < 2^64; every ridge
+key is summed from the same binomial weights without forming the ridges.
+Row i + m of the vertex table is the exact negation of row i; the plane
+sweep relies on that to visit only the m base points, and the
 ``central_symmetry`` check fails any complex that breaks it.
 
 The body is centrally symmetric, so its facets come in antipodal pairs
@@ -140,9 +141,7 @@ class FacetComplex:
         leaves them.
         """
         if self._antipodes is None:
-            two_m = self.vertices.shape[0]
-            keys = _pack_rows(self.vertex_ids, two_m)
-            self._antipodes = _antipodal_partners(self.vertex_ids, keys, two_m)
+            self._antipodes = _antipodal_partners(self.vertex_ids, self.vertices.shape[0])
         return self._antipodes
 
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -206,12 +205,11 @@ def symmetric_hull(cloud: PointCloud) -> FacetComplex:
     # dropped before the pairing and volume pass: a second full copy alive
     # next to qhull's own used to set the trial's memory peak.
     ids = np.sort(qh.simplices, axis=1).astype(np.int64)
-    keys = _pack_rows(ids, sym.shape[0])
-    order = np.lexsort(ids.T[::-1]) if keys is None else np.argsort(keys)
+    order = np.argsort(_row_keys(ids, sym.shape[0]))
     ids = ids[order]
     normals = qh.equations[order, :n]
     dists = -qh.equations[order, n]
-    del qh, keys, order
+    del qh, order
     if np.any(dists <= 1e-12):
         raise DegenerateFacetError(
             "degenerate: perturbation required (facet plane through origin)"
@@ -294,73 +292,64 @@ class ComplexDiagnostics:
         }
 
 
-def _id_bits(id_bound: int) -> int:
-    return max(1, int(id_bound - 1).bit_length())
+def _weights(id_bound: int, width: int) -> np.ndarray:
+    # Row j <= width, column c: C(N - 1 - c, j), the j-subsets of the ids above c;
+    # each is below C(N, width) while width <= N / 2, as for every facet and ridge.
+    if math.comb(id_bound, width) >= 1 << 64:
+        raise ValueError(f"rows of {width} ids below {id_bound} have no 64-bit key")
+    return np.array(
+        [[math.comb(id_bound - 1 - c, j) for c in range(id_bound)] for j in range(width + 1)],
+        dtype=np.uint64,
+    )
 
 
-def _pack_rows(rows: np.ndarray, id_bound: int) -> np.ndarray | None:
-    # Pack each row of sorted ids into one uint64 key (exact, no hashing)
-    # when the ids fit; keys then order rows lexicographically.  None means
-    # the caller must fall back to row-wise comparison.
-    bits = _id_bits(id_bound)
-    if rows.shape[1] * bits > 63:
-        return None
-    keys = np.zeros(rows.shape[0], dtype=np.uint64)
-    shift = np.uint64(bits)
-    for c in range(rows.shape[1]):
-        keys = (keys << shift) | rows[:, c].astype(np.uint64)
+def _row_keys(rows: np.ndarray, id_bound: int) -> np.ndarray:
+    """Lexicographic rank of each strictly increasing row among all rows of its width.
+
+    C(N - 1 - c_i, k - i) rows of width k agree with row c before column i
+    and exceed c_i there, so c has rank C(N, k) - 1 - sum_i C(N - 1 - c_i, k - i).
+    """
+    width = rows.shape[1]
+    weights = _weights(id_bound, width)
+    keys = np.full(rows.shape[0], math.comb(id_bound, width) - 1, dtype=np.uint64)
+    for i in range(width):
+        keys -= weights[width - i].take(rows[:, i])
     return keys
 
 
-def _ridges(vertex_ids: np.ndarray, keys: np.ndarray | None, id_bound: int) -> np.ndarray:
-    """The F * n ridges; block k holds every facet without its column k.
+def _ridges(vertex_ids: np.ndarray, id_bound: int) -> np.ndarray:
+    """The F * n ridge keys; block k keys every facet without its column k.
 
-    With packed facet keys each ridge key is sliced out of its facet key
-    (the fields before column k shift down over it), which equals packing
-    the ridge row itself; otherwise the ridges are rows of ids.
+    A ridge's key, C(N, n-1) - 1 - its rank, is a prefix plus a suffix sum over
+    the facet's columns c: sum_{i<k} C(N-1-c_i, n-1-i) + sum_{i>k} C(N-1-c_i, n-i).
     """
     F, n = vertex_ids.shape
-    if keys is None:
-        return np.concatenate([np.delete(vertex_ids, k, axis=1) for k in range(n)])
-    bits = _id_bits(id_bound)
-    ridges = np.empty(F * n, dtype=np.uint64)
-    for k in range(n):
-        low = bits * (n - 1 - k)  # width of the fields after column k
-        head = (keys >> np.uint64(low + bits)) << np.uint64(low)
-        ridges[k * F : (k + 1) * F] = head | (keys & np.uint64((1 << low) - 1))
-    return ridges
-
-
-def _multiset_counts(items: np.ndarray) -> np.ndarray:
-    """Occurrences of each item (packed key or row of ids) among all items."""
-    _, inverse, counts = np.unique(items, axis=0, return_inverse=True, return_counts=True)
-    return counts[inverse]
+    weights = _weights(id_bound, n - 1)
+    after = np.zeros((n, F), dtype=np.uint64)
+    for k in range(n - 1, 0, -1):
+        np.add(after[k], weights[n - k].take(vertex_ids[:, k]), out=after[k - 1])
+    head = np.zeros(F, dtype=np.uint64)
+    for k in range(1, n):
+        head += weights[n - k].take(vertex_ids[:, k - 1])
+        after[k] += head
+    return after.ravel()
 
 
 def _all_keys_paired(keys: np.ndarray) -> bool:
-    # Fast verdict on "every key appears exactly twice".
-    if keys.size % 2:
-        return False
+    # Fast verdict on "every key appears exactly twice": sorted, the keys
+    # match in pairs (an odd count cannot) and neighbouring pairs differ.
     k = np.sort(keys)
-    even, odd = k[0::2], k[1::2]
-    if not np.array_equal(even, odd):
-        return False
-    return bool(np.all(odd[:-1] != even[1:]))
+    return np.array_equal(k[0::2], k[1::2]) and bool(np.all(k[1:-1:2] != k[2::2]))
 
 
-def _antipodal_partners(
-    vertex_ids: np.ndarray, keys: np.ndarray | None, id_bound: int
-) -> np.ndarray:
+def _antipodal_partners(vertex_ids: np.ndarray, id_bound: int) -> np.ndarray:
     """Index of each facet's antipodal facet, or -1 when it is absent.
 
-    With packed keys (sorted, as facets are kept in key order) this is one
-    ``searchsorted`` of the antipodal keys; otherwise a lookup of id rows.
+    One ``searchsorted`` of the antipodal keys among the facet keys, which
+    are sorted as facets are kept in key order.
     """
-    anti = np.sort((vertex_ids + id_bound // 2) % id_bound, axis=1)
-    if keys is None:
-        lookup = {tuple(r): i for i, r in enumerate(vertex_ids.tolist())}
-        return np.array([lookup.get(tuple(q), -1) for q in anti.tolist()], dtype=np.int64)
-    anti_keys = _pack_rows(anti, id_bound)
+    keys = _row_keys(vertex_ids, id_bound)
+    anti_keys = _row_keys(np.sort((vertex_ids + id_bound // 2) % id_bound, axis=1), id_bound)
     pos = np.minimum(np.searchsorted(keys, anti_keys), keys.size - 1)
     return np.where(keys[pos] == anti_keys, pos, -1)
 
@@ -375,12 +364,12 @@ def validate_complex(fc: FacetComplex) -> ComplexDiagnostics:
     Pure; returns a per-check report with offending facet indices instead
     of raising.  Checks: facet vertices lie on their hyperplane, no facet
     contains an antipodal pair, distances are positive (and at most 1 for
-    unit-vertex complexes), every ridge is shared by exactly two facets,
-    vertex rows and facets come in exact antipodal pairs (facets with
-    negated normals), all points lie on the inner side of every facet, no
-    facet's hyperplane carries more than n points (a coplanar,
-    non-simplicial facet that qhull triangulated), and the cone
-    decomposition has positive total measure.
+    unit-vertex complexes), facet id rows are strictly increasing and every
+    ridge is shared by exactly two facets, vertex rows and facets come in
+    exact antipodal pairs (facets with negated normals), all points lie on
+    the inner side of every facet, no facet's hyperplane carries more than
+    n points (a coplanar, non-simplicial facet that qhull triangulated),
+    and the cone decomposition has positive total measure.
     """
     checks: list[CheckResult] = []
 
@@ -442,17 +431,21 @@ def validate_complex(fc: FacetComplex) -> ComplexDiagnostics:
     check("distance_in_range", np.flatnonzero(~dist_ok))
 
     # Every (n-1)-subset of a facet is a ridge and must appear in exactly
-    # two facets; the count is of offending ridge slots.
-    keys = _pack_rows(fc.vertex_ids, two_m)
-    ridges = _ridges(fc.vertex_ids, keys, two_m)
-    if keys is not None and _all_keys_paired(ridges):
+    # two facets; the count is of offending ridge slots.  Keys rank only
+    # strictly increasing id rows, so every ridge slot of another row offends.
+    unsorted = (fc.vertex_ids[:, 1:] <= fc.vertex_ids[:, :-1]).any(axis=1)
+    ridges = _ridges(fc.vertex_ids, two_m)
+    if not unsorted.any() and _all_keys_paired(ridges):
         bad_ridges = np.empty(0, dtype=np.int64)
     else:
-        bad_ridges = np.flatnonzero(_multiset_counts(ridges) != 2)
+        _, inverse, counts = np.unique(ridges, return_inverse=True, return_counts=True)
+        bad = counts[inverse] != 2
+        bad.reshape(n, F)[:, unsorted] = True
+        bad_ridges = np.flatnonzero(bad)
     check(
         "ridge_shared_twice",
         np.unique(bad_ridges % F),
-        f"{bad_ridges.size} ridge slots with count != 2" if bad_ridges.size else "",
+        f"{bad_ridges.size} ridge slots unpaired or in an unsorted row" if bad_ridges.size else "",
         bad_ridges.size,
     )
 

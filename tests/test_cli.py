@@ -34,6 +34,12 @@ class TestSample:
         assert code == EXIT_USAGE
         assert "insufficient" in err
 
+    def test_accepts_cell_beyond_the_key_capacity(self, capsys):
+        # sampling builds no hull, so C(2m, n) >= 2^64 does not matter
+        code, out, _ = run_main(capsys, "sample", "--n", "12", "--m", "110", "--seed", "7")
+        assert code == EXIT_OK
+        assert len(json.loads(out)["points"]) == 110
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "cloud.json"
         code, _, _ = run_main(
@@ -76,23 +82,23 @@ class TestTrial:
 
 # config cases that must be one-line config errors, by test id
 MALFORMED_CONFIGS = {
-    "emit-list": {"grid": [[2, 4]], "emit": ["csv"]},
+    "unknown-key": {"grid": [[2, 4]], "emit": ["csv"]},
     "trials-text": {"grid": [[2, 4]], "trials": "abc"},
     "grid-entry-without-n": {"grid": [{"m": 4}]},
     "grid-entry-scalar": {"grid": [3]},
     "grid-scalar": {"grid": 5},
-    "emit-unknown-format": {"grid": [[2, 4]], "emit": "xml"},
-    "emit-text-flag": {"grid": [[2, 4]], "emit": {"csv": "no"}},
-    "emit-unknown-key": {"grid": [[2, 4]], "emit": {"xml": True}},
     "grid-fraction": {"grid": [[2.7, 5]]},
     "grid-entry-text": {"grid": ["25"]},
     "trials-fraction": {"grid": [[2, 4]], "trials": 3.9},
     "trials-bool": {"grid": [[2, 4]], "trials": True},
     "workers-fraction": {"grid": [[2, 4]], "workers": 1.5},
     "ratio-bool": {"grid": [{"n": 4, "ratio": True}]},
-    "alpha-bool": {"grid": [[2, 4]], "alpha_rule": {"fixed": True}},
     "output-dir-number": {"grid": [[2, 4]], "output_dir": 5},
     "grid-repeated-cell": {"grid": [[3, 6], [3, 6]], "trials": 2},
+    # cells whose facet keys would need C(2m, n) >= 2^64
+    "grid-huge-m": {"grid": [[8, 10**30]]},
+    "grid-huge-ratio": {"grid": [{"n": 4, "ratio": 1e300}]},
+    "grid-n-40": {"grid": [[40, 41]]},
 }
 
 
@@ -194,6 +200,10 @@ class TestCheck:
             ("records.jsonl", '{"n": 3, "m": 9, "trial": 0}\n', False),
             # 14 fields under the 13-column header
             ("records.csv", ",".join(CSV_COLUMNS) + "\n3,9,0,11," + "0.5," * 6 + "10,0,0,7", False),
+            # cells no trial can run: m < n, n = 0, m = 0
+            ("records.csv", ",".join(CSV_COLUMNS) + "\n9,3,0,11," + "0.5," * 6 + "10,0,0", False),
+            ("records.csv", ",".join(CSV_COLUMNS) + "\n0,9,0,11," + "0.5," * 6 + "10,0,0", False),
+            ("records.csv", ",".join(CSV_COLUMNS) + "\n3,0,0,11," + "0.5," * 6 + "10,0,0", False),
             ("fixture.json", '{"campaign": {"c_star": ', True),
             ("fixture.json", '{"campaign": {"c_star": 0}}', True),
         ],
@@ -203,6 +213,9 @@ class TestCheck:
             "truncated-jsonl",
             "jsonl-missing-column",
             "csv-extra-field",
+            "csv-m-below-n",
+            "csv-n-zero",
+            "csv-m-zero",
             "bad-fixture",
             "fixture-c-star-zero",
         ],
@@ -277,6 +290,8 @@ class TestUsage:
             ["trial", "--n", "3", "--m", "6", "--seed", "-1"],
             ["trial", "--n", "3", "--m", "6", "--seed", str(1 << 64)],
             ["sample", "--n", "3", "--m", "6", "--seed", "-1"],
+            ["hull", "--n", "12", "--m", "110", "--seed", "1"],
+            ["trial", "--n", "10", "--m", "194", "--seed", "1"],
         ],
         ids=[
             "sample-n1",
@@ -285,6 +300,8 @@ class TestUsage:
             "negative-seed",
             "seed-2-64",
             "sample-negative-seed",
+            "hull-key-capacity",
+            "trial-key-capacity",
         ],
     )
     def test_cloud_input_out_of_range_is_config_error(self, capsys, argv):

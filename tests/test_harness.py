@@ -82,6 +82,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"repeats cell \(n=3, m=6\)"):
             run_experiment(cfg)
 
+    @pytest.mark.parametrize("cell", [(8, 484), (10, 194), (12, 110), (33, 34), (40, 10**30)])
+    def test_key_capacity_fails_before_any_process(self, tmp_path, monkeypatch, cell):
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", injected_failure)
+        monkeypatch.setattr(harness, "_trial_task", injected_failure)
+        cfg = small_config(tmp_path, grid=((3, 6), cell), workers=2)
+        with pytest.raises(ConfigError, match=r"C\(2m, n\) < 2\^64"):
+            run_experiment(cfg)
+        small_config(tmp_path, grid=((8, 483), (10, 193), (12, 109), (32, 33))).validate()
+
     def test_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json_dict({"grid": [[2, 4]], "bogus": 1})
@@ -142,6 +151,11 @@ class TestRunTrial:
     def test_rejects_bad_cell(self):
         with pytest.raises(ConfigError):
             run_trial(3, 3, 1)
+
+    def test_rejects_cell_beyond_key_capacity_before_sampling(self, monkeypatch):
+        monkeypatch.setattr(harness, "sample_symmetric_cloud", injected_failure)
+        with pytest.raises(ConfigError, match=r"2\^64"):
+            run_trial(8, 484, 1)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_rejects_seed_outside_64_bits(self, seed):
@@ -365,6 +379,11 @@ class TestEmit:
         )
         base.update(overrides)
         return TrialRecord(**base)
+
+    @pytest.mark.parametrize("n, m", [(3, 2), (0, 9), (3, 0), (1, 4)])
+    def test_record_of_a_cell_no_trial_can_run_is_rejected(self, n, m):
+        with pytest.raises(ConfigError, match="m > n >= 2"):
+            self.make_record(n=n, m=m)
 
     def test_header_only_for_empty(self, tmp_path):
         paths = emit_records([], tmp_path)

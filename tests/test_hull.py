@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.spatial import ConvexHull
 
 from isohull import hull
@@ -14,9 +15,8 @@ from isohull.hull import (
     DegenerateFacetError,
     FacetComplex,
     InvalidComplexError,
-    _antipodal_partners,
-    _pack_rows,
     _ridges,
+    _row_keys,
     dump_off_like,
     inradius,
     symmetric_hull,
@@ -28,8 +28,49 @@ from conftest import random_complex
 from oracles import brute_force_facets
 
 
+# the same examples on every run, so a failure reproduces
+KEY_EXAMPLES = settings(max_examples=200, deadline=None, derandomize=True)
+# the largest id bound up to 2^12 at which rows of each width have 64-bit keys
+KEY_BOUNDS = {
+    k: max(N for N in range(k, (1 << 12) + 1) if math.comb(N, k) < 1 << 64) for k in range(1, 13)
+}
+
+
 def facet_id_sets(fc: FacetComplex) -> set[frozenset]:
     return {frozenset(int(i) for i in row) for row in fc.vertex_ids}
+
+
+@st.composite
+def id_rows(draw):
+    """Strictly increasing id rows of one width below one bound, first and last row appended."""
+    width = draw(st.integers(1, 12))
+    bound = draw(st.integers(width, KEY_BOUNDS[width]))
+    row = st.lists(st.integers(0, bound - 1), min_size=width, max_size=width, unique=True)
+    rows = [sorted(r) for r in draw(st.lists(row, min_size=1, max_size=30))]
+    rows += [list(range(width)), list(range(bound - width, bound))]
+    return np.array(rows, dtype=np.int64), bound
+
+
+class TestRowKeys:
+    @KEY_EXAMPLES
+    @given(case=id_rows())
+    def test_keys_rank_rows_lexicographically(self, case):
+        rows, bound = case
+        width = rows.shape[1]
+        keys = _row_keys(rows, bound)
+        assert keys[-2] == 0 and keys[-1] == math.comb(bound, width) - 1
+        assert np.array_equal(np.argsort(keys, kind="stable"), np.lexsort(rows.T[::-1]))
+        assert np.unique(keys).size == np.unique(rows, axis=0).shape[0]
+        if width > 1:
+            ridge_rows = np.concatenate([np.delete(rows, k, axis=1) for k in range(width)])
+            after = math.comb(bound, width - 1) - 1 - _row_keys(ridge_rows, bound)
+            assert np.array_equal(_ridges(rows, bound), after)
+
+    def test_key_capacity(self):
+        # C(966, 8) < 2^64 <= C(968, 8): (8, 483) is the largest cell at n = 8
+        assert _row_keys(np.arange(8)[None], 966)[0] == 0
+        with pytest.raises(ValueError, match="64-bit key"):
+            _row_keys(np.arange(8)[None], 968)
 
 
 class TestConstruction:
@@ -160,13 +201,23 @@ class TestValidation:
         assert {c.name for c in diag.checks if not c.passed} == {"simplicial"}
         assert diag.check("simplicial").n_offending == 2  # the edge and its antipode
 
-    def test_sliced_ridge_keys_equal_packed_ridge_rows(self):
+    def test_ridge_keys_count_the_ridge_rows_after(self):
         fc = random_complex(6, 15, 325)
         two_m = fc.vertices.shape[0]
-        keys = _pack_rows(fc.vertex_ids, two_m)
-        rows = _ridges(fc.vertex_ids, None, two_m)
-        assert rows.shape == (fc.facet_count * 6, 5)
-        assert np.array_equal(_ridges(fc.vertex_ids, keys, two_m), _pack_rows(rows, two_m))
+        rows = np.concatenate([np.delete(fc.vertex_ids, k, axis=1) for k in range(6)])
+        after = math.comb(two_m, 5) - 1 - _row_keys(rows, two_m)
+        assert np.array_equal(_ridges(fc.vertex_ids, two_m), after)
+
+    def test_reversed_id_row_fails_validation(self):
+        # keys rank strictly increasing rows only; a reversed row must not
+        # slip through with a wrong key
+        fc = random_complex(4, 10, 327)
+        ids = fc.vertex_ids.copy()
+        ids[3] = ids[3, ::-1]
+        diag = validate_complex(dataclasses.replace(fc, vertex_ids=ids))
+        assert validate_complex(fc).passed and not diag.passed
+        ridge = diag.check("ridge_shared_twice")
+        assert 3 in ridge.offending and ridge.n_offending >= 4
 
     def test_nudged_antipode_fails_central_symmetry(self):
         # the half-size plane sweep trusts row i + m == -row i exactly
@@ -196,11 +247,9 @@ class TestValidation:
         anti = np.sort((fc.vertex_ids[rep] + two_m // 2) % two_m, axis=1)
         assert np.array_equal(fc.vertex_ids[partner], anti)
         assert np.array_equal(fc.volumes[partner], fc.volumes[rep])
-        # the row lookup used when ids do not pack finds the same partners
-        assert np.array_equal(_antipodal_partners(fc.vertex_ids, None, two_m), fc.antipodes())
 
     def test_unpaired_hull_is_a_resample_event(self, monkeypatch):
-        def unpaired(vertex_ids, keys, id_bound):
+        def unpaired(vertex_ids, id_bound):
             return np.full(vertex_ids.shape[0], -1)
 
         monkeypatch.setattr(hull, "_antipodal_partners", unpaired)
@@ -226,15 +275,15 @@ class TestValidation:
 
 
 @pytest.fixture(scope="module")
-def unpacked() -> FacetComplex:
-    # 2m = 258 vertex ids need 9 bits each, so an 8-id facet key would need
-    # 72 bits: every key-based path falls back to rows of ids
+def wide_ids() -> FacetComplex:
+    # 2m = 258 vertex ids need 9 bits each, so 8 ids packed side by side
+    # would need 72 bits; their rank needs log2 C(258, 8) < 50
     rng = np.random.default_rng(8)
     extra = rng.standard_normal((121, 8))
     extra *= 0.1 / np.linalg.norm(extra, axis=1, keepdims=True)
     fc = symmetric_hull(PointCloud(np.vstack([np.eye(8), extra])))
     assert fc.vertices.shape[0] == 258 and fc.facet_count == 256
-    assert _pack_rows(fc.vertex_ids, 258) is None
+    assert 8 * math.ceil(math.log2(258)) > 64
     return fc
 
 
@@ -254,28 +303,28 @@ def test_symmetric_hull_traced_peak_at_the_heavy_cell():
 
 
 class TestUnpackedIds:
-    def test_valid_and_lexicographic(self, unpacked):
-        assert validate_complex(unpacked).passed
-        assert unpacked.pairs()[0].size == 128
-        order = np.lexsort(unpacked.vertex_ids.T[::-1])
-        assert np.array_equal(order, np.arange(unpacked.facet_count))
+    def test_valid_and_lexicographic(self, wide_ids):
+        assert validate_complex(wide_ids).passed
+        assert wide_ids.pairs()[0].size == 128
+        order = np.lexsort(wide_ids.vertex_ids.T[::-1])
+        assert np.array_equal(order, np.arange(wide_ids.facet_count))
 
-    def test_missing_facet_detected(self, unpacked):
+    def test_missing_facet_detected(self, wide_ids):
         mutant = dataclasses.replace(
-            unpacked,
-            vertex_ids=unpacked.vertex_ids[1:],
-            normals=unpacked.normals[1:],
-            dists=unpacked.dists[1:],
-            volumes=unpacked.volumes[1:],
+            wide_ids,
+            vertex_ids=wide_ids.vertex_ids[1:],
+            normals=wide_ids.normals[1:],
+            dists=wide_ids.dists[1:],
+            volumes=wide_ids.volumes[1:],
         )
         diag = validate_complex(mutant)
         assert diag.check("ridge_shared_twice").n_offending == 8
         assert not diag.check("central_symmetry").passed
 
-    def test_nudged_antipode_fails_central_symmetry(self, unpacked):
-        vertices = unpacked.vertices.copy()
+    def test_nudged_antipode_fails_central_symmetry(self, wide_ids):
+        vertices = wide_ids.vertices.copy()
         vertices[129 + 5, 2] += 1e-6
-        mutant = dataclasses.replace(unpacked, vertices=vertices)
+        mutant = dataclasses.replace(wide_ids, vertices=vertices)
         assert not validate_complex(mutant).check("central_symmetry").passed
 
 
