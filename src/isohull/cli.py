@@ -20,8 +20,6 @@ import numpy as np
 
 from . import __version__
 from .harness import (
-    DEFAULT_MASTER_SEED,
-    DEFAULT_TRIALS,
     ConfigError,
     EmitError,
     ExperimentConfig,
@@ -49,7 +47,7 @@ from .hull import (
     validate_complex,
 )
 from .isotropy import NotSPDError
-from .sphere_stats import InsufficientPointsError, sample_symmetric_cloud
+from .sphere_stats import sample_symmetric_cloud
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -98,8 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="run the pilot campaign and write fixtures")
     p.add_argument("--out", type=str, default=None, help="fixture path (default: packaged)")
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS, help="trials per cell")
-    p.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED, help="master seed")
     p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
 
     p = sub.add_parser("check", help="re-run the three bound checks on a record file")
@@ -108,14 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=None, help="fixed alpha override")
 
     return parser
-
-
-def _check_cloud_args(args) -> None:
-    """Hold one cloud's --n and --seed to the ranges of a campaign config."""
-    if args.n < 2:
-        raise ConfigError(f"--n must be >= 2, got {args.n}")
-    if not 0 <= args.seed < (1 << 64):
-        raise ConfigError(f"--seed must be a 64-bit unsigned integer, got {args.seed}")
 
 
 def _emit(obj, out: str | None = None) -> None:
@@ -127,7 +115,6 @@ def _emit(obj, out: str | None = None) -> None:
 
 
 def _cmd_sample(args) -> int:
-    _check_cloud_args(args)
     cloud = sample_symmetric_cloud(args.n, args.m, args.seed)
     _emit(
         {
@@ -142,7 +129,6 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_hull(args) -> int:
-    _check_cloud_args(args)
     check_cell(args.n, args.m)
     cloud = sample_symmetric_cloud(args.n, args.m, args.seed)
     fc = symmetric_hull(cloud)
@@ -162,9 +148,6 @@ def _cmd_hull(args) -> int:
 
 
 def _cmd_trial(args) -> int:
-    _check_cloud_args(args)
-    if args.oracle_samples < 0:
-        raise ConfigError(f"--oracle-samples must be >= 0, got {args.oracle_samples}")
     rec = run_trial(args.n, args.m, args.seed, args.oracle_samples)
     payload = json.loads(rec.to_json_line())
     payload["wall_time_ms"] = rec.wall_time_ms  # measured, not canonicalized
@@ -193,7 +176,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    fixture = run_calibration(args.trials, args.seed, args.workers)
+    fixture = run_calibration(args.workers)
     path = save_fixture(fixture, args.out)
     _emit({"fixture": str(path), "a_hat": fixture["psi2"]["a_hat"],
            "c_star": fixture["campaign"]["c_star"]})
@@ -210,7 +193,7 @@ def _cmd_check(args) -> int:
         )
     except OSError as exc:
         raise EmitError(f"cannot read records {path}: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed records {path}: {type(exc).__name__}: {exc}") from exc
     if not records:
         raise ConfigError(f"no records in {path}")
@@ -250,7 +233,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageExit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ConfigError, InsufficientPointsError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (

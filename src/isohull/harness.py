@@ -58,6 +58,7 @@ from .moments import (
     polytope_volume,
 )
 from .sphere_stats import (
+    ConfigError,
     RngStream,
     ball_volume,
     bernstein_bound,
@@ -146,10 +147,6 @@ STIRLING_CAL_DIMS = tuple(range(2, 65))
 STIRLING_CAL_ORDERS = tuple(range(1, 65))
 SMALL_CAP_CAL_DIMS = (2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64)
 SMALL_CAP_CAL_EPS_FRACTIONS = (0.1, 0.25, 0.5, 0.75, 1.0)
-
-
-class ConfigError(ValueError):
-    """Invalid experiment configuration."""
 
 
 class TrialError(RuntimeError):
@@ -332,7 +329,7 @@ class TrialRecord:
         kwargs = {}
         for col in CSV_COLUMNS:
             v = values[col]
-            kwargs[col] = int(v) if col in _INT_COLUMNS else float(v)
+            kwargs[col] = _config_int(v, col) if col in _INT_COLUMNS else float(v)
         return cls(**kwargs)
 
     def canonical(self) -> "TrialRecord":
@@ -371,11 +368,13 @@ def run_trial(
     A trial failure carries the name of the stage that raised it in its
     ``stage`` attribute: sample, hull, validate, moments, isotropy or
     oracle; a covariance that is not positive-definite fails at isotropy
-    (``NotSPDError``).
+    (``NotSPDError``).  A cell outside :func:`check_cell`, a seed outside
+    [0, 2^64) or a negative ``oracle_samples`` is a ConfigError raised
+    before any hull is built.
     """
     check_cell(n, m)
-    if not 0 <= seed < (1 << 64):
-        raise ConfigError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    if oracle_samples < 0:
+        raise ConfigError(f"oracle_samples must be >= 0, got {oracle_samples}")
     t0 = time.perf_counter()
     attempt_seed = int(seed)
     resampled = 0
@@ -590,15 +589,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     paths: dict = {}
     if config.output_dir is not None:
-        out = Path(config.output_dir)
+        paths = emit_records(records, config.output_dir)
+        summary_path = Path(config.output_dir) / "summary.json"
         try:
-            out.mkdir(parents=True, exist_ok=True)
-            paths = emit_records(records, out)
-            summary_path = out / "summary.json"
             _write_atomic(summary_path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
-            paths["summary"] = str(summary_path)
         except OSError as exc:
-            raise EmitError(f"cannot write outputs under {config.output_dir}: {exc}") from exc
+            raise EmitError(f"cannot write summary under {config.output_dir}: {exc}") from exc
+        paths["summary"] = str(summary_path)
     return ExperimentResult(config, records, failures, summary, paths)
 
 
@@ -720,6 +717,8 @@ def check_second_moment_bound(records: Sequence[TrialRecord]) -> dict:
             }
         )
     c_vals = [c["c_emp"] for c in cells]
+    if min(c_vals) <= 0.0:  # a body's mean square is > 0, a hand-made record's may not be
+        raise ConfigError(f"mean_square must be > 0 in every cell, got c_emp {min(c_vals)}")
     return {
         "cells": cells,
         "c_emp_min": min(c_vals),
@@ -957,8 +956,8 @@ def build_fingerprint() -> dict:
     return fingerprint
 
 
-def run_calibration(trials: int, master_seed: int, workers: int) -> dict:
-    """Run the pilot campaign and fit every frozen constant.
+def run_calibration(workers: int) -> dict:
+    """Run the pilot campaign (default grid, trials and master seed); fit every constant.
 
     Returns the fixture dict (see ``save_fixture``); the campaign's emitted
     CSV/JSONL hashes are recorded so later runs of the identical config can
@@ -979,13 +978,7 @@ def run_calibration(trials: int, master_seed: int, workers: int) -> dict:
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        config = ExperimentConfig(
-            grid=tuple(default_grid()),
-            trials=trials,
-            master_seed=master_seed,
-            output_dir=tmp,
-            workers=workers,
-        )
+        config = ExperimentConfig(grid=tuple(default_grid()), output_dir=tmp, workers=workers)
         result = run_experiment(config)
         csv_hash = hashlib.sha256(Path(result.paths["csv"]).read_bytes()).hexdigest()
         jsonl_hash = hashlib.sha256(Path(result.paths["jsonl"]).read_bytes()).hexdigest()
@@ -1004,8 +997,8 @@ def run_calibration(trials: int, master_seed: int, workers: int) -> dict:
     fixture = {
         "provenance": {
             "package_version": __version__,
-            "master_seed": master_seed,
-            "trials": trials,
+            "master_seed": config.master_seed,
+            "trials": config.trials,
             "grid": [[n, m] for n, m in config.grid],
             "config_content_hash": config.content_hash(),
             "build": build_fingerprint(),

@@ -137,11 +137,12 @@ class FacetComplex:
     def antipodes(self) -> np.ndarray:
         """Index of each facet's antipodal facet, or -1 where it is absent.
 
-        Cached.  Facets must be in key order, as :func:`symmetric_hull`
-        leaves them.
+        Cached; :func:`symmetric_hull` sets it from the keys it sorted by.
+        Facets must be in key order, as :func:`symmetric_hull` leaves them.
         """
         if self._antipodes is None:
-            self._antipodes = _antipodal_partners(self.vertex_ids, self.vertices.shape[0])
+            N = self.vertices.shape[0]
+            self._antipodes = _antipodal_partners(_row_keys(self.vertex_ids, N), self.vertex_ids, N)
         return self._antipodes
 
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -205,8 +206,9 @@ def symmetric_hull(cloud: PointCloud) -> FacetComplex:
     # dropped before the pairing and volume pass: a second full copy alive
     # next to qhull's own used to set the trial's memory peak.
     ids = np.sort(qh.simplices, axis=1).astype(np.int64)
-    order = np.argsort(_row_keys(ids, sym.shape[0]))
-    ids = ids[order]
+    keys = _row_keys(ids, sym.shape[0])
+    order = np.argsort(keys)
+    ids, keys = ids[order], keys[order]
     normals = qh.equations[order, :n]
     dists = -qh.equations[order, n]
     del qh, order
@@ -226,6 +228,7 @@ def symmetric_hull(cloud: PointCloud) -> FacetComplex:
         cone_second=np.zeros((n, n)),
         source=cloud,
     )
+    fc._antipodes = _antipodal_partners(keys, ids, sym.shape[0])
     try:
         rep, partner = fc.pairs()
     except InvalidComplexError as exc:
@@ -293,12 +296,14 @@ class ComplexDiagnostics:
 
 
 def _weights(id_bound: int, width: int) -> np.ndarray:
-    # Row j <= width, column c: C(N - 1 - c, j), the j-subsets of the ids above c;
-    # each is below C(N, width) while width <= N / 2, as for every facet and ridge.
+    # Row j <= width, column c: C(N - 1 - c, j), the j-subsets of the ids above c.
+    # A strictly increasing row of ``width`` ids reads row j only at c >= width - j,
+    # where the entry is at most C(N - 1, width); the entries it never reads are 0.
     if math.comb(id_bound, width) >= 1 << 64:
         raise ValueError(f"rows of {width} ids below {id_bound} have no 64-bit key")
     return np.array(
-        [[math.comb(id_bound - 1 - c, j) for c in range(id_bound)] for j in range(width + 1)],
+        [[math.comb(id_bound - 1 - c, j) if c >= width - j else 0 for c in range(id_bound)]
+         for j in range(width + 1)],
         dtype=np.uint64,
     )
 
@@ -342,13 +347,12 @@ def _all_keys_paired(keys: np.ndarray) -> bool:
     return np.array_equal(k[0::2], k[1::2]) and bool(np.all(k[1:-1:2] != k[2::2]))
 
 
-def _antipodal_partners(vertex_ids: np.ndarray, id_bound: int) -> np.ndarray:
+def _antipodal_partners(keys: np.ndarray, vertex_ids: np.ndarray, id_bound: int) -> np.ndarray:
     """Index of each facet's antipodal facet, or -1 when it is absent.
 
-    One ``searchsorted`` of the antipodal keys among the facet keys, which
-    are sorted as facets are kept in key order.
+    One ``searchsorted`` of the antipodal keys among the facet ``keys``,
+    which are sorted as facets are kept in key order.
     """
-    keys = _row_keys(vertex_ids, id_bound)
     anti_keys = _row_keys(np.sort((vertex_ids + id_bound // 2) % id_bound, axis=1), id_bound)
     pos = np.minimum(np.searchsorted(keys, anti_keys), keys.size - 1)
     return np.where(keys[pos] == anti_keys, pos, -1)

@@ -33,7 +33,7 @@ __all__ = [
     "cap_tail_prob",
     "psi2_norm_estimate",
     "bernstein_bound",
-    "InsufficientPointsError",
+    "ConfigError",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -42,8 +42,8 @@ _GOLDEN = 0x9E3779B97F4A7C15
 UNIT_NORM_TOL = 1e-12
 
 
-class InsufficientPointsError(ValueError):
-    """Raised when a symmetric cloud is requested with too few points."""
+class ConfigError(ValueError):
+    """An input outside the range its first user accepts (cell, seed, count, config)."""
 
 
 def _mix64(z: int) -> int:
@@ -180,17 +180,15 @@ def sample_symmetric_cloud(n: int, m: int, seed: int) -> PointCloud:
     """m independent uniform sphere points, deterministic in (n, m, seed).
 
     The symmetric hull of fewer than n + 1 generators cannot be controlled
-    by the random-polytope machinery, so m > n is required.
+    by the random-polytope machinery, so m > n >= 2 is required, and the
+    seed is a 64-bit unsigned integer; anything else is a ConfigError.
     """
-    if n < 2:
-        raise ValueError(f"dimension must be >= 2, got {n}")
-    if m <= n:
-        raise InsufficientPointsError(
-            f"insufficient points for full-dimensional symmetric hull: "
-            f"need m > n, got m={m}, n={n}"
-        )
+    if n < 2 or m <= n:
+        raise ConfigError(f"insufficient points or dimension: need m > n >= 2, got n={n}, m={m}")
+    if not 0 <= seed <= _MASK64:
+        raise ConfigError(f"seed must be a 64-bit unsigned integer, got {seed}")
     points = sphere_points(n, m, RngStream(seed, (CLOUD_STREAM_LABEL,)))
-    return PointCloud(points, seed=int(seed) & _MASK64)
+    return PointCloud(points, seed=seed)
 
 
 def ball_volume(n: int) -> float:

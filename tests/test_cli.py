@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -9,9 +11,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import isohull
-from isohull.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, build_parser, main
+from isohull.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, _UsageExit, build_parser, main
 from isohull.harness import CSV_COLUMNS, ConfigError, ExperimentConfig, run_trial
 
 
@@ -238,6 +241,72 @@ class TestCheck:
         assert err.startswith("i/o error:")
 
 
+# any JSON value: NaN and +-inf among the floats, integers past the float range
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.floats()
+    | st.integers()
+    | st.integers(-(10**400), 10**400)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+# grid entries of the {"n": ..., "m" or "ratio": ...} form, any value in each key
+GRID_RULES = st.fixed_dictionaries(
+    {"n": JSON_VALUES}, optional={"m": JSON_VALUES, "ratio": JSON_VALUES}
+)
+# the same examples on every run, so a failure reproduces
+HOSTILE_EXAMPLES = settings(max_examples=500, deadline=None, derandomize=True)
+VALID_CONFIG = {
+    "grid": [[2, 4], [3, 6]], "trials": 2, "master_seed": 5, "output_dir": None, "workers": 1
+}
+VALID_RECORD = dict(
+    zip(CSV_COLUMNS, [3, 6, 0, 12345, 0.29, 0.3, 0.7, 0.41, 0.25, 1.5, 20, 0, 0.0], strict=True)
+)
+
+
+class TestHostileInput:
+    """Any JSON value anywhere in a config or a record ends as a result or one config error."""
+
+    @HOSTILE_EXAMPLES
+    @given(
+        key=st.sampled_from([*VALID_CONFIG, "grid entry"]),
+        value=JSON_VALUES | GRID_RULES,
+    )
+    def test_config_value_parses_or_is_config_error(self, key, value):
+        config = dict(VALID_CONFIG)
+        if key == "grid entry":
+            config["grid"] = [[2, 4], value]
+        else:
+            config[key] = value
+        try:
+            parsed = ExperimentConfig.from_json_dict(json.loads(json.dumps(config)))
+        except ConfigError:
+            return
+        numbers = [parsed.trials, parsed.master_seed, parsed.workers, *sum(parsed.grid, ())]
+        assert all(type(x) is int for x in numbers)
+
+    @HOSTILE_EXAMPLES
+    @given(column=st.sampled_from(CSV_COLUMNS), value=JSON_VALUES)
+    @example(column="facet_count", value=float("inf"))  # the JSON text 1e400
+    @example(column="l_k", value=10**400)  # past the float range
+    @example(column="mean_square", value=0)  # a second-moment band of 0 / 0
+    def test_record_value_checks_or_is_one_config_error(self, tmp_path_factory, column, value):
+        path = tmp_path_factory.getbasetemp() / "hostile-records.jsonl"
+        path.write_text(json.dumps(VALID_RECORD | {column: value}) + "\n")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["check", "--records", str(path)])
+        if code == EXIT_OK:
+            assert "c_star" in json.loads(out.getvalue())
+        else:
+            assert code == EXIT_USAGE and out.getvalue() == ""
+            assert err.getvalue().startswith("config error:")
+            assert err.getvalue().count("\n") == 1
+
+
 class TestReadme:
     """README's CLI block and config example parse with the current code."""
 
@@ -309,6 +378,13 @@ class TestUsage:
         assert code == EXIT_USAGE
         assert err.startswith("config error:") and err.count("\n") == 1
         assert out == ""
+
+    @pytest.mark.parametrize("flag", ["--trials", "--seed"])
+    def test_calibrate_takes_no_campaign_flags(self, flag):
+        # calibration runs the default campaign, whose records the fixture pins;
+        # parsed only, so no calibration runs where the flag is accepted
+        with pytest.raises(_UsageExit):
+            build_parser().parse_args(["calibrate", flag, "5"])
 
     def test_console_script_installed(self):
         # the child imports the same package as this process, also when the

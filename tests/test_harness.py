@@ -162,6 +162,11 @@ class TestRunTrial:
         with pytest.raises(ConfigError, match="seed"):
             run_trial(3, 6, seed)
 
+    def test_rejects_negative_oracle_samples_before_sampling(self, monkeypatch):
+        monkeypatch.setattr(harness, "sample_symmetric_cloud", injected_failure)
+        with pytest.raises(ConfigError, match="oracle_samples"):
+            run_trial(3, 6, 1, oracle_samples=-5)
+
 
 class TestRunExperiment:
     def test_counts_and_ordering(self, tmp_path):
@@ -279,6 +284,13 @@ class TestRunExperiment:
         assert [(out / name).read_bytes() for name in names] == quiet_bytes
         assert quiet.summary == logged.summary
 
+    @pytest.mark.parametrize("name", ["records.csv", "summary.json"])
+    def test_write_error_is_reported_once(self, tmp_path, name):
+        (tmp_path / "out" / name).mkdir(parents=True)
+        with pytest.raises(EmitError) as info:
+            run_experiment(small_config(tmp_path, grid=((2, 4),), trials=1))
+        assert str(info.value).count("cannot write") == 1
+
     def test_summary_content(self, tmp_path):
         res = run_experiment(small_config(tmp_path))
         keys = {"grid", "trials", "master_seed", "output_dir", "workers"}
@@ -384,6 +396,15 @@ class TestEmit:
     def test_record_of_a_cell_no_trial_can_run_is_rejected(self, n, m):
         with pytest.raises(ConfigError, match="m > n >= 2"):
             self.make_record(n=n, m=m)
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [("trial", 2.5), ("facet_count", math.inf), ("seed", math.nan), ("n", True)],
+    )
+    def test_integer_columns_take_only_integers(self, column, value):
+        values = dataclasses.asdict(self.make_record()) | {column: value}
+        with pytest.raises(ConfigError, match=f"{column} must be an integer"):
+            TrialRecord.from_values(values)
 
     def test_header_only_for_empty(self, tmp_path):
         paths = emit_records([], tmp_path)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -71,6 +72,14 @@ class TestRowKeys:
         assert _row_keys(np.arange(8)[None], 966)[0] == 0
         with pytest.raises(ValueError, match="64-bit key"):
             _row_keys(np.arange(8)[None], 968)
+        # rows wider than half the bound: C(80, 75) fits, C(79 - c, j) for c < 75 - j need not
+        assert _row_keys(np.arange(75)[None], 80)[0] == 0
+
+    def test_keys_are_combination_ranks(self):
+        for bound in range(1, 16):
+            for width in range(1, bound + 1):
+                rows = np.array(list(itertools.combinations(range(bound), width)))
+                assert np.array_equal(_row_keys(rows, bound), np.arange(rows.shape[0]))
 
 
 class TestConstruction:
@@ -249,12 +258,25 @@ class TestValidation:
         assert np.array_equal(fc.volumes[partner], fc.volumes[rep])
 
     def test_unpaired_hull_is_a_resample_event(self, monkeypatch):
-        def unpaired(vertex_ids, id_bound):
+        def unpaired(keys, vertex_ids, id_bound):
             return np.full(vertex_ids.shape[0], -1)
 
         monkeypatch.setattr(hull, "_antipodal_partners", unpaired)
         with pytest.raises(DegenerateFacetError, match="antipodal pairs"):
             random_complex(3, 8, 126)
+
+    def test_two_key_passes_per_hull(self, monkeypatch):
+        # the facet keys that order the facets also locate their antipodes
+        row_keys, shapes = hull._row_keys, []
+
+        def counted(rows, id_bound):
+            shapes.append(rows.shape)
+            return row_keys(rows, id_bound)
+
+        monkeypatch.setattr(hull, "_row_keys", counted)
+        fc = random_complex(4, 12, 7)
+        assert validate_complex(fc).passed
+        assert shapes == [fc.vertex_ids.shape] * 2
 
     def test_cone_measure_positive(self):
         fc = random_complex(5, 12, 5)

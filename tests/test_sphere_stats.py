@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate, stats
 
 from isohull.sphere_stats import (
-    InsufficientPointsError,
+    ConfigError,
     RngStream,
     bernstein_bound,
     cap_tail_prob,
@@ -135,10 +135,17 @@ class TestSymmetricCloud:
         assert a.seed == 42
 
     def test_rejects_too_few_points(self):
-        with pytest.raises(InsufficientPointsError):
+        with pytest.raises(ConfigError, match="insufficient"):
             sample_symmetric_cloud(3, 2, 1)
-        with pytest.raises(InsufficientPointsError):
+        with pytest.raises(ConfigError, match="insufficient"):
             sample_symmetric_cloud(3, 3, 1)
+        with pytest.raises(ConfigError, match="m > n >= 2"):
+            sample_symmetric_cloud(1, 3, 1)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_seed_outside_64_bits(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            sample_symmetric_cloud(3, 6, seed)
 
     def test_symmetrized_indexing(self):
         cloud = sample_symmetric_cloud(3, 5, 9)
