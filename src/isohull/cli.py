@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(obj, out: str | None = None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     if out is None:
         print(text)
     else:

@@ -222,6 +222,8 @@ class ExperimentConfig:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if not isinstance(self.output_dir, (str, os.PathLike, type(None))):
             raise ConfigError(f"output_dir must be a path string, got {self.output_dir!r}")
+        if self.output_dir is not None and os.fspath(self.output_dir) == "":
+            raise ConfigError("output_dir must name a directory, got an empty path")
 
     def to_json_dict(self) -> dict:
         return {
@@ -326,10 +328,16 @@ class TrialRecord:
 
     @classmethod
     def from_values(cls, values: dict) -> "TrialRecord":
+        """The record of one parsed row; a float column must hold a finite number."""
         kwargs = {}
         for col in CSV_COLUMNS:
             v = values[col]
-            kwargs[col] = _config_int(v, col) if col in _INT_COLUMNS else float(v)
+            if col in _INT_COLUMNS:
+                kwargs[col] = _config_int(v, col)
+                continue
+            kwargs[col] = float(v)
+            if not math.isfinite(kwargs[col]):
+                raise ConfigError(f"{col} must be finite, got {v!r}")
         return cls(**kwargs)
 
     def canonical(self) -> "TrialRecord":
@@ -708,23 +716,28 @@ def check_second_moment_bound(records: Sequence[TrialRecord]) -> dict:
         log_ratio = math.log(m / n)
         ms = np.array([r.mean_square for r in recs])
         mc = np.array([r.max_facet_cross for r in recs])
+        # Python floats: an overflow gives inf (a ConfigError below), not a warning
         cells.append(
             {
                 "n": n,
                 "m": m,
-                "c_emp": float(ms.max() * n / log_ratio),
-                "facet_cross_ratio": float(mc.max() / (n * log_ratio)),
+                "c_emp": float(ms.max()) * n / log_ratio,
+                "facet_cross_ratio": float(mc.max()) / (n * log_ratio),
             }
         )
     c_vals = [c["c_emp"] for c in cells]
     if min(c_vals) <= 0.0:  # a body's mean square is > 0, a hand-made record's may not be
         raise ConfigError(f"mean_square must be > 0 in every cell, got c_emp {min(c_vals)}")
-    return {
+    report = {
         "cells": cells,
         "c_emp_min": min(c_vals),
         "c_emp_max": max(c_vals),
         "band_ratio": max(c_vals) / min(c_vals),
     }
+    figures = [report["band_ratio"], *c_vals, *(c["facet_cross_ratio"] for c in cells)]
+    if not all(map(math.isfinite, figures)):
+        raise ConfigError("second-moment figures of these records overflow the float range")
+    return report
 
 
 def check_isotropy_threshold(records: Sequence[TrialRecord], c_star: float) -> list[dict]:

@@ -2,24 +2,34 @@
 
 Construction runs qhull (Barber, Dobkin & Huhdanpaa, ACM TOMS 22(4),
 1996) over all 2m symmetrized points with no symmetry shortcuts and
-without premerging (qhull option ``Q0``; scipy adds ``Qt``, so every facet
+without premerging (qhull option ``Q0``, plus ``Qt`` so that every facet
 comes back as a simplex).  Random sphere points are in
 general position with probability one, so there is nothing to merge, and
 on the default campaign ``Q0`` gives the same facet sets as qhull's
-defaults at a fraction of the cost.  Central symmetry, ridge pairing,
-containment and simpliciality are then re-checked post hoc by
-:func:`validate_complex`, which is independent of the construction path.
-A detected coplanarity (more than n points on one facet's hyperplane)
-fails validation, so the caller can resample with a fresh derived seed
-instead of perturbing coordinates.
+defaults at a fraction of the cost.
+
+qhull is called through scipy's private ``scipy.spatial._qhull._Qhull``,
+with the steps of ``ConvexHull.__init__`` except its total volume and
+area (qhull's ``qh_getarea`` over every facet, about 0.1 s of an (8, 64)
+hull, never read here) and its copy of the points.  ``TestQhullCall`` in
+``tests/test_hull.py`` pins the call: the facet arrays equal
+``ConvexHull``'s, ``volume_area`` is never called and ``close`` always is,
+so a scipy release that changes the private entry point fails there.
+
+Central symmetry, ridge pairing, containment and simpliciality are then
+re-checked post hoc by :func:`validate_complex`, which is independent of
+the construction path.  A detected coplanarity (more than n points on one
+facet's hyperplane) fails validation, so the caller can resample with a
+fresh derived seed instead of perturbing coordinates.
 
 Each facet is identified by one uint64 key, the lexicographic rank of its
 sorted vertex ids among all n-subsets of the 2m ids (combinatorial number
 system; Knuth, TAOCP 4A 7.2.1.3), exact while C(2m, n) < 2^64; every ridge
 key is summed from the same binomial weights without forming the ridges.
 Row i + m of the vertex table is the exact negation of row i; the plane
-sweep relies on that to visit only the m base points, and the
-``central_symmetry`` check fails any complex that breaks it.
+sweep relies on that to visit only the m base points and one facet of
+each antipodal pair, and the ``central_symmetry`` check fails any complex
+that breaks it.
 
 The body is centrally symmetric, so its facets come in antipodal pairs
 F, -F with equal (n-1)-volume, distance and cone moments.
@@ -47,7 +57,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
+from scipy.spatial import QhullError
+from scipy.spatial._qhull import _Qhull
 
 from .sphere_stats import PointCloud
 
@@ -196,22 +207,28 @@ def symmetric_hull(cloud: PointCloud) -> FacetComplex:
         raise DegenerateCloudError("degenerate: points do not span")
 
     sym = cloud.symmetrized()
+    # ConvexHull's steps without its total volume and area (module docstring)
     try:
-        qh = ConvexHull(sym, qhull_options="Q0")
+        qh = _Qhull(b"i", sym, b"Q0", required_options=b"Qt")
+        try:
+            qh.triangulate()
+            simplices, _, equations, _, _ = qh.get_simplex_facet_array()
+        finally:
+            qh.close()
     except QhullError as exc:
         raise DegenerateFacetError(f"degenerate: perturbation required ({exc})") from exc
 
     # qhull's arrays are read once (int32 rows sorted, then widened; normals
-    # and distances taken through the key order) and qhull's object is
-    # dropped before the pairing and volume pass: a second full copy alive
-    # next to qhull's own used to set the trial's memory peak.
-    ids = np.sort(qh.simplices, axis=1).astype(np.int64)
+    # and distances taken through the key order) and dropped before the
+    # pairing and volume pass: a second full copy alive next to qhull's own
+    # used to set the trial's memory peak.
+    ids = np.sort(simplices, axis=1).astype(np.int64)
     keys = _row_keys(ids, sym.shape[0])
     order = np.argsort(keys)
-    ids, keys = ids[order], keys[order]
-    normals = qh.equations[order, :n]
-    dists = -qh.equations[order, n]
-    del qh, order
+    ids, keys = ids.take(order, axis=0), keys[order]
+    normals = equations[:, :n].take(order, axis=0)
+    dists = -equations[:, n].take(order)
+    del simplices, equations, order
     if np.any(dists <= 1e-12):
         raise DegenerateFacetError(
             "degenerate: perturbation required (facet plane through origin)"
@@ -245,7 +262,7 @@ def symmetric_hull(cloud: PointCloud) -> FacetComplex:
     scale = math.factorial(n - 1)
     for blk in facet_blocks(rep.size, n * n):
         r = rep[blk]
-        V = sym[ids[r]]
+        V = sym.take(ids.take(r, axis=0), axis=0)
         volumes[r] = np.abs(np.linalg.det(V)) / (scale * dists[r])
         s = V.sum(axis=1)
         cross[r] = np.einsum("fi,fi->f", s, s) - np.einsum("fki,fki->f", V, V)
@@ -351,11 +368,25 @@ def _antipodal_partners(keys: np.ndarray, vertex_ids: np.ndarray, id_bound: int)
     """Index of each facet's antipodal facet, or -1 when it is absent.
 
     One ``searchsorted`` of the antipodal keys among the facet ``keys``,
-    which are sorted as facets are kept in key order.
+    which are sorted as facets are kept in key order.  The antipodal keys
+    are searched in ascending order, which keeps the search in cache (at
+    (n, m) = (8, 64) a third of the time of a search in facet order).
     """
     anti_keys = _row_keys(np.sort((vertex_ids + id_bound // 2) % id_bound, axis=1), id_bound)
+    order = np.argsort(anti_keys)
+    anti_keys = anti_keys[order]
     pos = np.minimum(np.searchsorted(keys, anti_keys), keys.size - 1)
-    return np.where(keys[pos] == anti_keys, pos, -1)
+    partners = np.empty(keys.size, dtype=np.intp)
+    partners[order] = np.where(keys[pos] == anti_keys, pos, -1)
+    return partners
+
+
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """Largest entry of each row of a narrow (F, n) array, one column at a time."""
+    out = x[:, 0].copy()
+    for col in x.T[1:]:
+        np.maximum(out, col, out=out)
+    return out
 
 
 def _first(idx: np.ndarray) -> tuple[int, ...]:
@@ -374,6 +405,27 @@ def validate_complex(fc: FacetComplex) -> ComplexDiagnostics:
     the inner side of every facet, no facet's hyperplane carries more than
     n points (a coplanar, non-simplicial facet that qhull triangulated),
     and the cone decomposition has positive total measure.
+
+    The point-side checks (``vertex_on_plane``, ``containment`` and
+    ``simplicial``) sweep one facet F of each mirrored pair F, -F from
+    :meth:`FacetComplex.antipodes` (mutual, distinct, both id rows strictly
+    increasing) whose mismatch
+
+        e = ||n_F + n_-F||_inf * max_i ||P_i||_1 + |d_F - d_-F|
+
+    is at most ``CONTAINMENT_TOL``.  The id rows of -F are those of F
+    mirrored, and vertex row i + m is the exact negation of row i (checked
+    by ``central_symmetry``), so for every point y of the symmetric set
+
+        slack_-F(-y) = slack_F(y) + (-n_-F - n_F) . y + (d_F - d_-F)
+
+    differs from slack_F(y) by at most e, by Hoelder's inequality.  F is
+    swept with every figure tightened by e (residual + e, largest slack + e,
+    points counted on the plane within ``COPLANARITY_TOL`` + e) and -F
+    takes F's figures, so each bounds the figure a full sweep would give
+    either facet: no verdict is weaker than the full sweep's.  Every other
+    facet (unpaired, or in a pair with e above the tolerance) is swept on
+    its own with e = 0.
     """
     checks: list[CheckResult] = []
 
@@ -389,38 +441,66 @@ def validate_complex(fc: FacetComplex) -> ComplexDiagnostics:
     m = two_m // 2
 
     # One sweep over blocks of the facet-major inner products G = N P^T of
-    # every facet normal with the m base points.  Vertex id i is base point
+    # swept facet normals with the m base points.  Vertex id i is base point
     # i % m, negated for i >= m, so the facet's own vertices read their
     # plane residuals from G.  A point and its antipode have slacks G - d
     # and -G - d, so the larger is |G| - d, and their distances to the
     # plane are ||G| - d| and |G| + d; these give each facet's largest
-    # slack and the number of points on its hyperplane.  The same blocks
-    # compare each facet's normal with its antipodal facet's.
+    # slack and the number of points on its hyperplane.
+    #
+    # One facet of each mirrored pair is swept for both (see the docstring).
+    # A partner row is the exact antipodal id row when the two rows are
+    # strictly increasing, since keys are one-to-one on such rows.
     P = fc.vertices[:m]
+    ids = fc.vertex_ids
     partner = fc.antipodes()
+    own = np.arange(F)
+    # Column by column: reductions along rows of n entries cost more.
+    unsorted = np.zeros(F, dtype=bool)
+    holds_antipodes = np.zeros(F, dtype=bool)
+    base = ids % m
+    for k in range(1, n):
+        unsorted |= ids[:, k] <= ids[:, k - 1]
+        for j in range(k):
+            holds_antipodes |= base[:, j] == base[:, k]
+    flip = fc.normals.take(partner, axis=0)
+    flip += fc.normals
+    flip = _row_max(np.abs(flip, out=flip))
+    mirrored = (partner >= 0) & (partner != own) & (partner[partner] == own)
+    mirrored &= ~unsorted & ~unsorted[partner]
+    rep = np.flatnonzero(mirrored & (own < partner))
+    mate = partner[rep]
+    reach = np.abs(P).sum(axis=1).max(initial=0.0)  # largest l1 norm of a point
+    gap = flip[rep] * reach + np.abs(fc.dists[rep] - fc.dists[mate])
+    tight = gap <= CONTAINMENT_TOL
+    rep, mate = rep[tight], mate[tight]
+    mismatch = np.zeros(F)
+    mismatch[rep] = gap[tight]
+    swept = np.ones(F, dtype=bool)
+    swept[mate] = False
+    swept = np.flatnonzero(swept)
+
     residual = np.empty(F)
-    holds_antipodes = np.empty(F, dtype=bool)
-    flip = np.empty(F)
     viol = np.empty(F)
     on_plane = np.empty(F, dtype=np.int64)
-    for blk in facet_blocks(F, m):
-        ids = fc.vertex_ids[blk]
-        base = ids % m
-        sorted_base = np.sort(base, axis=1)
-        holds_antipodes[blk] = (sorted_base[:, 1:] == sorted_base[:, :-1]).any(axis=1)
-        flip[blk] = np.abs(fc.normals[blk] + fc.normals[partner[blk]]).max(axis=1)
-        G = fc.normals[blk] @ P.T
-        d = fc.dists[blk, None]
-        own = np.take_along_axis(G, base, axis=1)
-        own = np.where(ids < m, own, -own) - d
-        residual[blk] = np.abs(own, out=own).max(axis=1)
+    for blk in facet_blocks(swept.size, m):
+        f = swept[blk]
+        G = fc.normals.take(f, axis=0) @ P.T
+        d = fc.dists[f, None]
+        e = mismatch[f]
+        tol = COPLANARITY_TOL + e[:, None]
+        mine = G.take(base.take(f, axis=0) + m * np.arange(f.size)[:, None])
+        mine = np.where(ids.take(f, axis=0) < m, mine, -mine) - d
+        residual[f] = np.abs(mine, out=mine).max(axis=1) + e
         A = np.abs(G, out=G)
-        on_plane[blk] = 0
-        if d.min() <= COPLANARITY_TOL:  # else |G| + d > tol everywhere
-            on_plane[blk] = np.count_nonzero(A + d <= COPLANARITY_TOL, axis=1)
+        count = np.zeros(f.size, dtype=np.int64)
+        if np.any(d <= tol):  # else |G| + d > tol everywhere
+            count += np.count_nonzero(A + d <= tol, axis=1)
         A -= d
-        viol[blk] = A.max(axis=1)
-        on_plane[blk] += np.count_nonzero(np.abs(A, out=A) <= COPLANARITY_TOL, axis=1)
+        viol[f] = A.max(axis=1) + e
+        on_plane[f] = count + np.count_nonzero(np.abs(A, out=A) <= tol, axis=1)
+    for figure in (residual, viol, on_plane):
+        figure[mate] = figure[rep]
 
     check(
         "vertex_on_plane",
@@ -437,7 +517,6 @@ def validate_complex(fc: FacetComplex) -> ComplexDiagnostics:
     # Every (n-1)-subset of a facet is a ridge and must appear in exactly
     # two facets; the count is of offending ridge slots.  Keys rank only
     # strictly increasing id rows, so every ridge slot of another row offends.
-    unsorted = (fc.vertex_ids[:, 1:] <= fc.vertex_ids[:, :-1]).any(axis=1)
     ridges = _ridges(fc.vertex_ids, two_m)
     if not unsorted.any() and _all_keys_paired(ridges):
         bad_ridges = np.empty(0, dtype=np.int64)

@@ -1,8 +1,9 @@
 """Independent reference implementations used only by the tests.
 
 These deliberately avoid the production code paths: the hull oracle
-enumerates supporting hyperplanes by brute force, determinants expand by
-cofactors, and integrals run through scipy's quadrature.
+enumerates supporting hyperplanes by brute force, facet figures come from
+the dense slack matrix, determinants expand by cofactors, and integrals
+run through scipy's quadrature.
 """
 
 from __future__ import annotations
@@ -39,6 +40,24 @@ def brute_force_facets(points: np.ndarray, tol: float = 1e-9) -> set[frozenset]:
     for row in sub[is_facet]:
         facets.add(frozenset(int(i) for i in row))
     return facets
+
+
+def dense_facet_figures(
+    vertices: np.ndarray,
+    vertex_ids: np.ndarray,
+    normals: np.ndarray,
+    dists: np.ndarray,
+    tol: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per facet: largest residual of its own vertices, largest slack, points on its plane.
+
+    One (N, F) matrix of the slack of every point against every facet
+    plane, with no use of the symmetry of the points or of the facets; a
+    point is on the plane when its slack is within ``tol`` of 0.
+    """
+    slack = vertices @ normals.T - dists
+    residual = np.abs(np.take_along_axis(slack, vertex_ids.T, axis=0)).max(axis=0)
+    return residual, slack.max(axis=0), np.count_nonzero(np.abs(slack) <= tol, axis=0)
 
 
 def cofactor_det(matrix: np.ndarray) -> float:

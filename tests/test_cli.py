@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import isohull
 from isohull.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, _UsageExit, build_parser, main
-from isohull.harness import CSV_COLUMNS, ConfigError, ExperimentConfig, run_trial
+from isohull.harness import CSV_COLUMNS, ConfigError, ExperimentConfig, emit_records, run_trial
 
 
 def run_main(capsys, *argv):
@@ -267,6 +268,26 @@ VALID_RECORD = dict(
 )
 
 
+def strict_json(text: str):
+    """Parse JSON as RFC 8259 defines it: no NaN or Infinity tokens."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.fixture(scope="module")
+def emitted_records(tmp_path_factory) -> dict[str, bytes]:
+    """records.csv and records.jsonl of three trials in two cells, by file suffix."""
+    records = [
+        run_trial(n, m, seed, trial_index=t).canonical()
+        for n, m, seed, t in [(2, 4, 11, 0), (2, 4, 12, 1), (3, 6, 13, 0)]
+    ]
+    paths = emit_records(records, tmp_path_factory.mktemp("emitted"))
+    return {Path(p).suffix: Path(p).read_bytes() for p in paths.values()}
+
+
 class TestHostileInput:
     """Any JSON value anywhere in a config or a record ends as a result or one config error."""
 
@@ -288,23 +309,59 @@ class TestHostileInput:
         numbers = [parsed.trials, parsed.master_seed, parsed.workers, *sum(parsed.grid, ())]
         assert all(type(x) is int for x in numbers)
 
-    @HOSTILE_EXAMPLES
-    @given(column=st.sampled_from(CSV_COLUMNS), value=JSON_VALUES)
-    @example(column="facet_count", value=float("inf"))  # the JSON text 1e400
-    @example(column="l_k", value=10**400)  # past the float range
-    @example(column="mean_square", value=0)  # a second-moment band of 0 / 0
-    def test_record_value_checks_or_is_one_config_error(self, tmp_path_factory, column, value):
-        path = tmp_path_factory.getbasetemp() / "hostile-records.jsonl"
-        path.write_text(json.dumps(VALID_RECORD | {column: value}) + "\n")
+    @staticmethod
+    def assert_checks_or_one_config_error(path: Path) -> None:
+        """``isohull check`` prints a strict JSON report, or exits 1 with one config error line.
+
+        A warning is an error here, so a numpy overflow cannot pass as a result.
+        """
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["check", "--records", str(path)])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(["check", "--records", str(path)])
         if code == EXIT_OK:
-            assert "c_star" in json.loads(out.getvalue())
+            assert "c_star" in strict_json(out.getvalue())
+            assert err.getvalue() == ""
         else:
             assert code == EXIT_USAGE and out.getvalue() == ""
             assert err.getvalue().startswith("config error:")
             assert err.getvalue().count("\n") == 1
+
+    @HOSTILE_EXAMPLES
+    @given(column=st.sampled_from(CSV_COLUMNS), value=JSON_VALUES)
+    @example(column="facet_count", value=float("inf"))  # the JSON text Infinity
+    @example(column="l_k", value=10**400)  # past the float range
+    @example(column="mean_square", value=0)  # a second-moment band of 0 / 0
+    @example(column="l_k", value=float("nan"))  # the JSON text NaN
+    @example(column="vol_root", value=float("-inf"))
+    @example(column="mean_square", value=1.7e308)  # finite, but c_emp overflows
+    def test_record_value_checks_or_is_one_config_error(self, tmp_path_factory, column, value):
+        path = tmp_path_factory.getbasetemp() / "hostile-records.jsonl"
+        path.write_text(json.dumps(VALID_RECORD | {column: value}) + "\n")
+        self.assert_checks_or_one_config_error(path)
+
+    @HOSTILE_EXAMPLES
+    @given(
+        suffix=st.sampled_from([".csv", ".jsonl"]),
+        edit=st.sampled_from(["flip", "insert", "delete"]),
+        at=st.integers(0, 1 << 16),
+        value=st.integers(0, 255),
+    )
+    def test_byte_edit_of_records_checks_or_is_one_config_error(
+        self, tmp_path_factory, emitted_records, suffix, edit, at, value
+    ):
+        data = bytearray(emitted_records[suffix])
+        i = at % (len(data) + (edit == "insert"))
+        if edit == "flip":
+            data[i] ^= value or 0xFF
+        elif edit == "insert":
+            data.insert(i, value)
+        else:
+            del data[i]
+        path = tmp_path_factory.getbasetemp() / f"edited-records{suffix}"
+        path.write_bytes(bytes(data))
+        self.assert_checks_or_one_config_error(path)
 
 
 class TestReadme:

@@ -91,6 +91,17 @@ class TestConfig:
             run_experiment(cfg)
         small_config(tmp_path, grid=((8, 483), (10, 193), (12, 109), (32, 33))).validate()
 
+    @pytest.mark.parametrize("parse", [False, True])
+    def test_empty_output_dir_fails_before_any_process(self, tmp_path, monkeypatch, parse):
+        # "" is not the working directory: it names no directory at all
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", injected_failure)
+        monkeypatch.setattr(harness, "_trial_task", injected_failure)
+        cfg = small_config(tmp_path, output_dir="", workers=2)
+        with pytest.raises(ConfigError, match="output_dir"):
+            if parse:
+                ExperimentConfig.from_json_dict(cfg.to_json_dict())
+            run_experiment(cfg)
+
     def test_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json_dict({"grid": [[2, 4]], "bogus": 1})
@@ -405,6 +416,28 @@ class TestEmit:
         values = dataclasses.asdict(self.make_record()) | {column: value}
         with pytest.raises(ConfigError, match=f"{column} must be an integer"):
             TrialRecord.from_values(values)
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [("l_k", math.nan), ("mean_square", math.inf), ("inradius", "-inf"), ("wall_time_ms", "NaN")],
+    )
+    def test_float_columns_take_only_finite_numbers(self, column, value):
+        values = dataclasses.asdict(self.make_record()) | {column: value}
+        with pytest.raises(ConfigError, match=f"{column} must be finite"):
+            TrialRecord.from_values(values)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [{"mean_square": 1.7e308}],  # c_emp
+            [{"max_facet_cross": 1.7e308, "n": 2, "m": 3}],  # facet_cross_ratio
+            [{"mean_square": 1e300}, {"n": 2, "m": 4, "mean_square": 1e-10}],  # band_ratio
+        ],
+    )
+    def test_second_moment_overflow_is_config_error(self, rows):
+        # finite records whose figures pass the float maximum
+        with pytest.raises(ConfigError, match="overflow"):
+            check_second_moment_bound([self.make_record(**row) for row in rows])
 
     def test_header_only_for_empty(self, tmp_path):
         paths = emit_records([], tmp_path)

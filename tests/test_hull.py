@@ -8,10 +8,13 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, QhullError
 
 from isohull import hull
 from isohull.hull import (
+    CONTAINMENT_TOL,
+    COPLANARITY_TOL,
+    OFFENDING_LIMIT,
     DegenerateCloudError,
     DegenerateFacetError,
     FacetComplex,
@@ -26,7 +29,7 @@ from isohull.hull import (
 from isohull.harness import derive_seed
 from isohull.sphere_stats import PointCloud, sample_symmetric_cloud
 from conftest import random_complex
-from oracles import brute_force_facets
+from oracles import brute_force_facets, dense_facet_figures
 
 
 # the same examples on every run, so a failure reproduces
@@ -137,6 +140,118 @@ class TestConstruction:
             assert np.array_equal(np.lexsort(fc.vertex_ids.T[::-1]), np.arange(fc.facet_count))
             count += 1
         assert count == 1200
+
+
+class TestQhullCall:
+    """qhull runs as ConvexHull(sym, "Q0") runs it, without its total volume and area."""
+
+    @pytest.mark.parametrize("n, m", [(2, 5), (3, 7), (4, 9), (5, 11), (6, 13), (7, 15), (8, 24)])
+    def test_facet_arrays_equal_convex_hulls(self, n, m):
+        cloud = sample_symmetric_cloud(n, m, derive_seed(14, [n, m]))
+        fc = symmetric_hull(cloud)
+        ref = ConvexHull(cloud.symmetrized(), qhull_options="Q0")
+        ids = np.sort(ref.simplices, axis=1).astype(np.int64)
+        order = np.lexsort(ids.T[::-1])  # key order is the lexicographic order of id rows
+        assert np.array_equal(fc.vertex_ids, ids[order])
+        assert np.array_equal(fc.normals, ref.equations[order, :n])
+        assert np.array_equal(fc.dists, -ref.equations[order, n])
+
+    @staticmethod
+    def proxy_qhull(monkeypatch, failing: str = "", error: Exception | None = None) -> list[str]:
+        """Wrap hull._Qhull; list the methods called, and make ``failing`` raise ``error``."""
+        calls, real = [], hull._Qhull
+
+        class Proxy:
+            def __init__(self, *args, **kwargs):
+                self._qh = real(*args, **kwargs)
+
+            def __getattr__(self, name):
+                calls.append(name)
+                if name != failing:
+                    return getattr(self._qh, name)
+
+                def fail(*args, **kwargs):
+                    raise error
+
+                return fail
+
+        monkeypatch.setattr(hull, "_Qhull", Proxy)
+        return calls
+
+    def test_volume_area_is_never_called(self, monkeypatch):
+        calls = self.proxy_qhull(monkeypatch)
+        assert validate_complex(random_complex(5, 11, 3)).passed
+        assert calls == ["triangulate", "get_simplex_facet_array", "close"]
+
+    @pytest.mark.parametrize(
+        "error, raised",
+        [(QhullError("injected"), DegenerateFacetError), (RuntimeError("injected"), RuntimeError)],
+    )
+    def test_close_runs_when_reading_facets_raises(self, monkeypatch, error, raised):
+        calls = self.proxy_qhull(monkeypatch, "get_simplex_facet_array", error)
+        with pytest.raises(raised, match="injected"):
+            random_complex(4, 9, 3)
+        assert calls == ["triangulate", "get_simplex_facet_array", "close"]
+
+
+class TestPairSweep:
+    """Sweeping one facet per mirrored pair flags every facet the dense slack matrix flags."""
+
+    @staticmethod
+    def dense_flags(fc: FacetComplex) -> dict[str, np.ndarray]:
+        residual, slack, on_plane = dense_facet_figures(
+            fc.vertices, fc.vertex_ids, fc.normals, fc.dists, COPLANARITY_TOL
+        )
+        return {
+            "vertex_on_plane": np.flatnonzero(residual > CONTAINMENT_TOL),
+            "containment": np.flatnonzero(slack > CONTAINMENT_TOL),
+            "simplicial": np.flatnonzero(on_plane > fc.n),
+        }
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(2, 6),
+        seed=st.integers(0, 2**32 - 1),
+        facet=st.integers(0, 2**16),
+        moved=st.sampled_from(["normal", "dist"]),
+        sign=st.sampled_from([-1.0, 1.0]),
+        # within 1% of the tolerance a verdict turns on the last bits of
+        # either route's rounding
+        scale=st.floats(0.1, 10.0).filter(lambda s: abs(s - 1.0) > 0.01),
+    )
+    def test_never_weaker_than_the_dense_sweep(self, n, seed, facet, moved, sign, scale):
+        fc = random_complex(n, n + 2 + seed % 5, seed)
+        f = facet % fc.facet_count
+        normals, dists = fc.normals.copy(), fc.dists.copy()
+        if moved == "dist":
+            dists[f] += sign * scale * CONTAINMENT_TOL
+        else:
+            u = np.random.default_rng(seed).standard_normal(n)
+            normals[f] += sign * scale * CONTAINMENT_TOL * u / np.linalg.norm(u)
+        mutant = dataclasses.replace(fc, normals=normals, dists=dists)
+        diag = validate_complex(mutant)
+        for name, expected in self.dense_flags(mutant).items():
+            check = diag.check(name)
+            assert check.n_offending <= OFFENDING_LIMIT, name
+            assert set(expected) <= set(check.offending), name
+
+    @pytest.mark.parametrize("scale, flagged", [(0.4, False), (0.6, True)])
+    def test_pair_mismatch_tightens_the_thresholds(self, scale, flagged):
+        # F's plane moved inward by s * tol: every true figure stays below
+        # tol, and the pair F, -F (mismatch e = s * tol) is swept once with
+        # F's residual and slack raised by e, so both facets fail at s > 1/2
+        fc = random_complex(4, 10, 14)
+        rep, mate = fc.pairs()
+        f, g = int(rep[0]), int(mate[0])
+        dists = fc.dists.copy()
+        dists[f] -= scale * CONTAINMENT_TOL
+        mutant = dataclasses.replace(fc, dists=dists)
+        assert all(bad.size == 0 for bad in self.dense_flags(mutant).values())
+        diag = validate_complex(mutant)
+        for name in ("vertex_on_plane", "containment"):
+            assert diag.check(name).offending == ((f, g) if flagged else ()), name
+        assert diag.check("central_symmetry").passed
+        assert diag.check("simplicial").passed
 
 
 class TestValidation:
