@@ -10,10 +10,10 @@ seed, which set every record, plus an output directory and a worker count,
 which do not; the Monte Carlo oracle and a fixed inradius threshold belong
 to single trials (``run_trial``) and to record checks, not to campaigns.
 
-Determinism contract: every record field except ``wall_time_ms`` is a
-pure function of (n, m, trial seed).  Measured wall time is kept on
-records returned by :func:`run_trial` for diagnostics, but campaign
-emission canonicalizes it to 0.0 so output files are byte-stable.
+Determinism contract: every record column is a pure function of (n, m,
+trial seed), so output files are byte-stable.  Records hold no timing:
+a campaign logs its progress and ``isohull trial`` prints the wall time
+of its one trial beside the record.
 
 The probabilistic claims under test involve absolute constants the theory
 never pins down, so the campaign-side checks are fit-and-freeze: a
@@ -102,28 +102,7 @@ __all__ = [
 
 log = logging.getLogger("isohull")
 
-CSV_COLUMNS = (
-    "n",
-    "m",
-    "trial",
-    "seed",
-    "l_k",
-    "identity_bound",
-    "vol_root",
-    "inradius",
-    "mean_square",
-    "max_facet_cross",
-    "facet_count",
-    "resampled",
-    "wall_time_ms",
-)
-_INT_COLUMNS = {"n", "m", "trial", "seed", "facet_count", "resampled"}
-
 RESAMPLE_CAP = 8
-# Constants of the reference bound shape 1 - c1 exp(-c2 n min(1, log(m/n)))
-# next to the isotropy-threshold fractions; only the shape is meaningful.
-LK_SHAPE_C1 = 1.0
-LK_SHAPE_C2 = 1.0
 ORACLE_STREAM_LABEL = 1
 
 DEFAULT_DIMS = tuple(range(2, 9))
@@ -286,12 +265,12 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One trial of the pipeline; fields mirror the CSV columns exactly.
+    """One trial of the pipeline; its compared fields are the CSV columns.
 
-    ``wall_time_ms`` is measured elapsed time and is the one field outside
-    the determinism contract; campaign emission zeroes it.  ``oracle_deltas``
-    (exact minus estimate, in standard-error units) is diagnostic only and
-    never serialized into campaign files.  Its cell must pass :func:`check_cell`.
+    ``CSV_COLUMNS`` and the integer columns are read from these fields and
+    their annotations.  ``oracle_deltas`` (exact minus estimate, in
+    standard-error units) is diagnostic only, not compared and never
+    serialized into campaign files.  Its cell must pass :func:`check_cell`.
     """
 
     n: int
@@ -306,7 +285,6 @@ class TrialRecord:
     max_facet_cross: float
     facet_count: int
     resampled: int
-    wall_time_ms: float
     oracle_deltas: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -341,8 +319,12 @@ class TrialRecord:
         return cls(**kwargs)
 
     def canonical(self) -> "TrialRecord":
-        """The record with measured timing zeroed (the byte-stable form)."""
-        return dataclasses.replace(self, wall_time_ms=0.0, oracle_deltas=None)
+        """The record without its oracle deltas (the form campaigns emit)."""
+        return dataclasses.replace(self, oracle_deltas=None)
+
+
+CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(TrialRecord) if f.compare)
+_INT_COLUMNS = tuple(f.name for f in dataclasses.fields(TrialRecord) if f.type == "int")
 
 
 def _sort_key(r: TrialRecord):
@@ -383,7 +365,6 @@ def run_trial(
     check_cell(n, m)
     if oracle_samples < 0:
         raise ConfigError(f"oracle_samples must be >= 0, got {oracle_samples}")
-    t0 = time.perf_counter()
     attempt_seed = int(seed)
     resampled = 0
     fc = None
@@ -439,7 +420,6 @@ def run_trial(
         if est.volume is not None:
             deltas["volume"] = (volume - est.volume) / est.volume_se
 
-    wall_ms = (time.perf_counter() - t0) * 1e3
     return TrialRecord(
         n=n,
         m=m,
@@ -453,7 +433,6 @@ def run_trial(
         max_facet_cross=max_cross,
         facet_count=fc.facet_count,
         resampled=resampled,
-        wall_time_ms=wall_ms,
         oracle_deltas=deltas,
     )
 
@@ -543,10 +522,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     Per-trial seeds are derive_seed(master, [n, m, trial]), fixed before
     dispatch, and results are sorted by (n, m, trial), so records are
-    identical for any worker count.  Emitted records are canonicalized
-    (wall_time_ms = 0.0); timing goes to the logger only, as one INFO line
-    per finished cell (trials done, elapsed time and an ETA that assumes
-    every remaining trial costs the mean so far).  Individual trial
+    identical for any worker count.  Timing goes to the logger only, never
+    into records or summary, as one INFO line per finished cell (trials
+    done, elapsed time and an ETA that assumes every remaining trial costs
+    the mean so far).  Individual trial
     failures are collected, not fatal; each failure row names the stage
     that raised.
     """
@@ -589,7 +568,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         elapsed,
     )
 
-    records = sorted((r.canonical() for r in records), key=_sort_key)
+    records.sort(key=_sort_key)
     failures.sort(key=lambda f: (f["n"], f["m"], f["trial"]))
     summary = summarize_records(records, failures)
     summary["config"] = config.to_json_dict()
@@ -743,9 +722,9 @@ def check_second_moment_bound(records: Sequence[TrialRecord]) -> dict:
 def check_isotropy_threshold(records: Sequence[TrialRecord], c_star: float) -> list[dict]:
     """Per-cell fraction of trials with l_k <= c_star.
 
-    The reference column is the bound shape 1 - c1 exp(-c2 n min(1,
-    log(m/n))) with c1 = LK_SHAPE_C1 and c2 = LK_SHAPE_C2; only the shape
-    is meaningful, the fractions are the data.
+    The reference column is the bound shape 1 - exp(-n min(1, log(m/n)));
+    only the shape is meaningful (its absolute constants are left at 1),
+    the fractions are the data.
     """
     if c_star <= 0:
         raise ValueError("c_star must be positive")
@@ -753,7 +732,7 @@ def check_isotropy_threshold(records: Sequence[TrialRecord], c_star: float) -> l
     for (n, m), recs in _cell_groups(records).items():
         lk = np.array([r.l_k for r in recs])
         frac = float(np.mean(lk <= c_star))
-        shape = 1.0 - LK_SHAPE_C1 * math.exp(-LK_SHAPE_C2 * n * min(1.0, math.log(m / n)))
+        shape = 1.0 - math.exp(-n * min(1.0, math.log(m / n)))
         report.append(
             {
                 "n": n,
@@ -876,15 +855,15 @@ def record_digests(records: Sequence[TrialRecord]) -> dict[tuple[int, int], dict
     """
     digests = {}
     for cell, recs in _cell_groups(sorted(records, key=_sort_key)).items():
-        rows = [r.to_csv_row().split(",") for r in recs]
-        cols = {}
-        for i, col in enumerate(CSV_COLUMNS[2:], start=2):
-            text = "\n".join(row[i] for row in rows)
-            cols[col] = {
-                "sha256": hashlib.sha256(text.encode()).hexdigest(),
+        columns = zip(CSV_COLUMNS, zip(*(r._texts() for r in recs)))
+        digests[cell] = {
+            col: {
+                "sha256": hashlib.sha256("\n".join(texts).encode()).hexdigest(),
                 "fsum": math.fsum(getattr(r, col) for r in recs),
             }
-        digests[cell] = cols
+            for col, texts in columns
+            if col not in ("n", "m")
+        }
     return digests
 
 
@@ -996,7 +975,6 @@ def run_calibration(workers: int) -> dict:
         csv_hash = hashlib.sha256(Path(result.paths["csv"]).read_bytes()).hexdigest()
         jsonl_hash = hashlib.sha256(Path(result.paths["jsonl"]).read_bytes()).hexdigest()
 
-    records = result.records
     cells = result.summary["cells"]
     lk_max = max(c["l_k_max"] for c in cells)
     c_star = 1.05 * lk_max
@@ -1005,7 +983,6 @@ def run_calibration(workers: int) -> dict:
         (n, m): v for (n, m), v in c_emp_cells.items() if 4 <= n <= 8 and m == 3 * n
     }
     growth = {(c["n"], c["m"]): c["growth_stat"] for c in cells}
-    fractions = check_isotropy_threshold(records, c_star)
 
     fixture = {
         "provenance": {
@@ -1050,14 +1027,9 @@ def run_calibration(workers: int) -> dict:
                 "min": min(growth.values()),
                 "max": max(growth.values()),
             },
-            "lk_threshold": {
-                "c1": LK_SHAPE_C1,
-                "c2": LK_SHAPE_C2,
-                "fractions": [[c["n"], c["m"], c["fraction"]] for c in fractions],
-            },
             "records_csv_sha256": csv_hash,
             "records_jsonl_sha256": jsonl_hash,
-            "record_digests": _cells_list(record_digests(records)),
+            "record_digests": _cells_list(record_digests(result.records)),
             "total_failures": len(result.failures),
         },
     }

@@ -200,8 +200,6 @@ def symmetric_hull(cloud: PointCloud) -> FacetComplex:
     n = cloud.n
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
-    if pts.shape[0] < 1:
-        raise DegenerateCloudError("degenerate: points do not span (empty cloud)")
     sv = np.linalg.svd(pts, compute_uv=False)
     if sv.size < n or sv[n - 1] <= SPAN_TOL:
         raise DegenerateCloudError("degenerate: points do not span")

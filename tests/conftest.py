@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,15 @@ def cross_polytope_complex(n: int) -> FacetComplex:
 
 def random_complex(n: int, m: int, seed: int) -> FacetComplex:
     return symmetric_hull(sample_symmetric_cloud(n, m, seed))
+
+
+def perfbench_module(name: str) -> types.ModuleType:
+    """``perfbench/<name>.py`` executed from its path; nothing is imported as a package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
 
 
 def bounded_condition_map(stream: RngStream, n: int, low: float, span: float) -> np.ndarray:

@@ -15,8 +15,24 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import isohull
-from isohull.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, _UsageExit, build_parser, main
-from isohull.harness import CSV_COLUMNS, ConfigError, ExperimentConfig, emit_records, run_trial
+from isohull import cli
+from isohull.cli import (
+    EXIT_IO,
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    EXIT_USAGE,
+    _UsageExit,
+    build_parser,
+    main,
+)
+from isohull.harness import (
+    CSV_COLUMNS,
+    ConfigError,
+    ExperimentConfig,
+    TrialError,
+    emit_records,
+    run_trial,
+)
 
 
 def run_main(capsys, *argv):
@@ -73,6 +89,17 @@ class TestTrial:
         rec = json.loads(out)
         assert rec["l_k"] > 0.0
         assert rec["wall_time_ms"] > 0.0
+        assert set(rec) == {*CSV_COLUMNS, "wall_time_ms"}
+
+    def test_trial_failure_is_numerical_exit(self, capsys, monkeypatch):
+        def failing_trial(*args):
+            raise TrialError("degeneracy re-draw cap (8 attempts) exceeded")
+
+        monkeypatch.setattr(cli, "run_trial", failing_trial)
+        code, out, err = run_main(capsys, "trial", "--n", "3", "--m", "9", "--seed", "11")
+        assert code == EXIT_NUMERICAL
+        assert err.startswith("numerical failure:") and err.count("\n") == 1
+        assert out == ""
 
     def test_oracle_deltas_attached(self, capsys):
         code, out, _ = run_main(
@@ -135,6 +162,14 @@ class TestExperiment:
             capsys, "experiment", "--config", str(tmp_path / "nope.json")
         )
         assert code == EXIT_IO
+
+    def test_config_that_is_not_json_is_config_error(self, capsys, tmp_path):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text('{"grid": [[2, 4]],')
+        code, out, err = run_main(capsys, "experiment", "--config", str(cfg_path))
+        assert code == EXIT_USAGE
+        assert err.startswith("config error:") and "not valid JSON" in err
+        assert err.count("\n") == 1 and out == ""
 
     @pytest.mark.parametrize("config", MALFORMED_CONFIGS.values(), ids=list(MALFORMED_CONFIGS))
     def test_malformed_config_is_config_error(self, capsys, tmp_path, config):
@@ -202,12 +237,18 @@ class TestCheck:
             ("records.csv", "n,m,trial\n3,9,0\n", False),
             ("records.jsonl", '{"n": 3, "m": 9, "tri', False),
             ("records.jsonl", '{"n": 3, "m": 9, "trial": 0}\n', False),
-            # 14 fields under the 13-column header
-            ("records.csv", ",".join(CSV_COLUMNS) + "\n3,9,0,11," + "0.5," * 6 + "10,0,0,7", False),
+            # 13 fields under the 12-column header
+            ("records.csv", ",".join(CSV_COLUMNS) + "\n3,9,0,11," + "0.5," * 6 + "10,0,7", False),
+            # the 13-column header of earlier builds, which ended in wall_time_ms
+            (
+                "records.csv",
+                ",".join(CSV_COLUMNS) + ",wall_time_ms\n3,9,0,11," + "0.5," * 6 + "10,0,0",
+                False,
+            ),
             # cells no trial can run: m < n, n = 0, m = 0
-            ("records.csv", ",".join(CSV_COLUMNS) + "\n9,3,0,11," + "0.5," * 6 + "10,0,0", False),
-            ("records.csv", ",".join(CSV_COLUMNS) + "\n0,9,0,11," + "0.5," * 6 + "10,0,0", False),
-            ("records.csv", ",".join(CSV_COLUMNS) + "\n3,0,0,11," + "0.5," * 6 + "10,0,0", False),
+            ("records.csv", ",".join(CSV_COLUMNS) + "\n9,3,0,11," + "0.5," * 6 + "10,0", False),
+            ("records.csv", ",".join(CSV_COLUMNS) + "\n0,9,0,11," + "0.5," * 6 + "10,0", False),
+            ("records.csv", ",".join(CSV_COLUMNS) + "\n3,0,0,11," + "0.5," * 6 + "10,0", False),
             ("fixture.json", '{"campaign": {"c_star": ', True),
             ("fixture.json", '{"campaign": {"c_star": 0}}', True),
         ],
@@ -217,6 +258,7 @@ class TestCheck:
             "truncated-jsonl",
             "jsonl-missing-column",
             "csv-extra-field",
+            "csv-earlier-13-columns",
             "csv-m-below-n",
             "csv-n-zero",
             "csv-m-zero",
@@ -264,7 +306,7 @@ VALID_CONFIG = {
     "grid": [[2, 4], [3, 6]], "trials": 2, "master_seed": 5, "output_dir": None, "workers": 1
 }
 VALID_RECORD = dict(
-    zip(CSV_COLUMNS, [3, 6, 0, 12345, 0.29, 0.3, 0.7, 0.41, 0.25, 1.5, 20, 0, 0.0], strict=True)
+    zip(CSV_COLUMNS, [3, 6, 0, 12345, 0.29, 0.3, 0.7, 0.41, 0.25, 1.5, 20, 0], strict=True)
 )
 
 

@@ -111,6 +111,10 @@ class TestConstruction:
         assert np.array_equal(a.vertex_ids, b.vertex_ids)
         assert np.array_equal(a.normals, b.normals)
 
+    def test_empty_cloud_rejected(self):
+        with pytest.raises(DegenerateCloudError):
+            symmetric_hull(PointCloud(np.empty((0, 3))))
+
     def test_rank_deficient_cloud_rejected(self):
         pts = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.5, 0.0]])
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
@@ -252,6 +256,30 @@ class TestPairSweep:
             assert diag.check(name).offending == ((f, g) if flagged else ()), name
         assert diag.check("central_symmetry").passed
         assert diag.check("simplicial").passed
+
+    @pytest.mark.parametrize("on_plane", [0, 3], ids=["no-base-point", "three-base-points"])
+    def test_plane_through_the_origin(self, on_plane):
+        # F's distance set to 0: a point and its antipode lie on its plane
+        # together, and the pair F, -F (mismatch d_-F) is swept one by one;
+        # with F's normal orthogonal to three base points, 6 > n points lie
+        # on F's plane
+        fc = random_complex(4, 10, 14)
+        f = int(fc.pairs()[0][0])
+        normals, dists = fc.normals.copy(), fc.dists.copy()
+        dists[f] = 0.0
+        if on_plane:
+            normals[f] = np.linalg.svd(fc.vertices[:on_plane])[2][-1]
+        mutant = dataclasses.replace(fc, normals=normals, dists=dists)
+        diag = validate_complex(mutant)
+        _, slack, points = dense_facet_figures(
+            mutant.vertices, mutant.vertex_ids, mutant.normals, mutant.dists, COPLANARITY_TOL
+        )
+        assert points[f] == 2 * on_plane
+        containment = diag.check("containment").offending
+        assert containment == tuple(np.flatnonzero(slack > CONTAINMENT_TOL)) == (f,)
+        simplicial = diag.check("simplicial")
+        assert simplicial.offending == tuple(np.flatnonzero(points > mutant.n))
+        assert simplicial.detail == f"up to {points.max()} points on one facet plane"
 
 
 class TestValidation:

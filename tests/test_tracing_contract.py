@@ -9,19 +9,12 @@ is imported as a package or written to.
 
 from __future__ import annotations
 
-import types
-from pathlib import Path
-
 from isohull import harness
-
-TRACING_PY = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+from conftest import perfbench_module
 
 
 def traced_names() -> dict[str, str]:
-    module = types.ModuleType("perfbench_tracing")
-    module.__file__ = str(TRACING_PY)
-    exec(compile(TRACING_PY.read_text(), str(TRACING_PY), "exec"), module.__dict__)
-    return module.TRACED
+    return perfbench_module("tracing").TRACED
 
 
 def test_every_traced_name_is_a_callable_harness_global():
