@@ -109,6 +109,9 @@ DEFAULT_DIMS = tuple(range(2, 9))
 DEFAULT_RATIOS = (1.5, 2.0, 3.0, 8.0)
 DEFAULT_TRIALS = 200
 DEFAULT_MASTER_SEED = 424242
+# A campaign holds every task and record in memory until it ends, about
+# 0.4 KB a trial: 28 cells at this bound hold about 1.2 GB.
+MAX_TRIALS = 100_000
 
 RECORDS_BASENAME = "records"
 
@@ -171,6 +174,13 @@ def _config_int(value, what: str) -> int:
     raise ConfigError(f"{what} must be an integer, got {value!r}")
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Campaign definition: grid, trial count and seeding, output directory, workers.
@@ -193,12 +203,14 @@ class ExperimentConfig:
             check_cell(n, m)
             if self.grid[i] in self.grid[:i]:
                 raise ConfigError(f"grid repeats cell (n={n}, m={m})")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise ConfigError(f"trials must be in [1, {MAX_TRIALS}], got {self.trials}")
         if not 0 <= self.master_seed < (1 << 64):
             raise ConfigError("master_seed must be a 64-bit unsigned integer")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        # the pool starts all its processes at once; 2 stays valid everywhere
+        limit = max(2, _usable_cpus())
+        if not 1 <= self.workers <= limit:
+            raise ConfigError(f"workers must be in [1, {limit}] (usable CPUs), got {self.workers}")
         if not isinstance(self.output_dir, (str, os.PathLike, type(None))):
             raise ConfigError(f"output_dir must be a path string, got {self.output_dir!r}")
         if self.output_dir is not None and os.fspath(self.output_dir) == "":

@@ -1,20 +1,36 @@
 """Boundary facet complex of the symmetric hull conv{+-P_1, ..., +-P_m}.
 
 Construction runs qhull (Barber, Dobkin & Huhdanpaa, ACM TOMS 22(4),
-1996) over all 2m symmetrized points with no symmetry shortcuts and
-without premerging (qhull option ``Q0``, plus ``Qt`` so that every facet
-comes back as a simplex).  Random sphere points are in
-general position with probability one, so there is nothing to merge, and
-on the default campaign ``Q0`` gives the same facet sets as qhull's
-defaults at a fraction of the cost.
+1996) without premerging (qhull option ``Q0``, plus ``Qt`` so that every
+facet comes back as a simplex).  Random sphere points are in general
+position with probability one, so there is nothing to merge, and on the
+default campaign ``Q0`` gives the same facet sets as qhull's defaults at a
+fraction of the cost.
+
+K is centrally symmetric, so its facets come in antipodal pairs F, -F, and
+qhull builds only about half of them.  Its input is the 2m points plus one
+apex a = -R r e_1, with r the largest l1 norm of a point and R =
+``APEX_REACH``; qhull returns the facets of conv(K, a).  A returned row
+without the apex id 2m spans a supporting hyperplane of K through n of its
+vertices, so it is a facet of K.  A facet of K with outward normal u and
+distance d is a facet of conv(K, a) exactly when <u, a> < d, and since
+<u, a> + <-u, a> = 0 < 2d at least one facet of every pair survives, with
+a at least d inside its plane.  The member of smaller key represents each
+pair, with its own qhull plane or its returned partner's negated one, and
+the other member is synthesized: ids (ids + m) mod 2m, the exact negated
+normal and the same distance.  At (n, m) = (8, 64) qhull then returns
+about 0.73 F rows in place of F.  R = 100 is the fastest of 10, 30, 100
+and 300 there; a farther apex gains nothing, since qhull's roundoff grows
+with the largest coordinate.
 
 qhull is called through scipy's private ``scipy.spatial._qhull._Qhull``,
 with the steps of ``ConvexHull.__init__`` except its total volume and
 area (qhull's ``qh_getarea`` over every facet, about 0.1 s of an (8, 64)
 hull, never read here) and its copy of the points.  ``TestQhullCall`` in
-``tests/test_hull.py`` pins the call: the facet arrays equal
-``ConvexHull``'s, ``volume_area`` is never called and ``close`` always is,
-so a scipy release that changes the private entry point fails there.
+``tests/test_hull.py`` pins the call: the id rows equal ``ConvexHull``'s
+without the apex and the planes agree within 1e-12, ``volume_area`` is
+never called and ``close`` always is, so a scipy release that changes the
+private entry point fails there.
 
 Central symmetry, ridge pairing, containment and simpliciality are then
 re-checked post hoc by :func:`validate_complex`, which is independent of
@@ -31,9 +47,8 @@ sweep relies on that to visit only the m base points and one facet of
 each antipodal pair, and the ``central_symmetry`` check fails any complex
 that breaks it.
 
-The body is centrally symmetric, so its facets come in antipodal pairs
-F, -F with equal (n-1)-volume, distance and cone moments.
-:meth:`FacetComplex.pairs` finds each facet's partner with one
+The two facets of a pair have equal (n-1)-volume, distance and cone
+moments.  :meth:`FacetComplex.pairs` finds each facet's partner with one
 ``searchsorted`` of the antipodal keys among the sorted facet keys and
 lists one representative per pair.  One pass over the representatives,
 in facet blocks of about ``_BLOCK_FLOATS`` float64s per temporary, gathers
@@ -87,6 +102,10 @@ OFFENDING_LIMIT = 16  # facet indices a check reports
 # the 2^18 up to which OpenBLAS runs on one thread (for n < 16).  At
 # (n, m) = (8, 64) a block is 256 facets.
 _BLOCK_FLOATS = 1 << 14
+
+# The apex's distance from the origin in units of the largest l1 norm of a
+# point (module docstring).
+APEX_REACH = 100.0
 
 
 def facet_blocks(count: int, width: int) -> Iterator[slice]:
@@ -185,6 +204,74 @@ class FacetComplex:
         return bool(np.all(np.abs(norms - 1.0) <= UNIT_VERTEX_TOL))
 
 
+def _facet_table(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Keys, id rows, normals and distances of the facets of conv(sym), in key order.
+
+    qhull runs over the 2m rows of ``sym`` and the apex -APEX_REACH * r * e_1
+    (id 2m), and every facet is read from one facet of its antipodal pair;
+    see the module docstring.  Raises :class:`DegenerateFacetError` when
+    qhull fails.
+    """
+    N, n = sym.shape
+    apex = np.zeros((1, n))
+    apex[0, 0] = -APEX_REACH * np.abs(sym).sum(axis=1).max()
+    # ConvexHull's steps without its total volume and area (module docstring)
+    try:
+        qh = _Qhull(b"i", np.concatenate([sym, apex]), b"Q0", required_options=b"Qt")
+        try:
+            qh.triangulate()
+            simplices, _, equations, _, _ = qh.get_simplex_facet_array()
+        finally:
+            qh.close()
+    except QhullError as exc:
+        raise DegenerateFacetError(f"degenerate: perturbation required ({exc})") from exc
+
+    # Rows without the apex are facets of K.  Each is read with its mirror
+    # row, (ids + m) % 2m sorted, and the smaller of the two keys names the
+    # pair: a pair qhull returned whole is kept once, from that member.
+    kept = simplices[:, 0] != N
+    for col in simplices.T[1:]:
+        kept &= col != N
+    kept = np.flatnonzero(kept)
+    ids = np.sort(simplices.take(kept, axis=0), axis=1)
+    planes = equations.take(kept, axis=0)
+    del simplices, equations, kept
+    mirror = np.sort((ids + N // 2) % N, axis=1)
+    own_keys, mirror_keys = _row_keys(ids, N), _row_keys(mirror, N)
+    pair_keys = np.minimum(own_keys, mirror_keys)
+    order = np.lexsort((mirror_keys < own_keys, pair_keys))
+    pair_keys = pair_keys.take(order)
+    first = np.ones(order.size, dtype=bool)
+    np.not_equal(pair_keys[1:], pair_keys[:-1], out=first[1:])
+    sel = order[first]
+    del pair_keys, order, first
+
+    # Row i < P of the facet table is kept row sel[i] with its own plane, row
+    # P + i its mirror with the exact negation of that plane; both halves are
+    # then laid out in key order.  qhull's arrays are dropped once read, and
+    # each table is filled in place: whole copies alive together set the
+    # trial's memory peak.
+    P = sel.size
+    keys = np.empty(2 * P, dtype=np.uint64)
+    own_keys.take(sel, out=keys[:P])
+    mirror_keys.take(sel, out=keys[P:])
+    order = np.argsort(keys)
+    keys = keys.take(order)
+    rows = np.empty((2 * P, n), dtype=np.int64)
+    rows[:P] = ids.take(sel, axis=0)
+    rows[P:] = mirror.take(sel, axis=0)
+    del ids, mirror, own_keys, mirror_keys
+    ids = rows.take(order, axis=0)
+    del rows
+    planes = planes.take(sel, axis=0)
+    signed = np.empty((2 * P, n))
+    signed[:P] = planes[:, :n]
+    np.negative(signed[:P], out=signed[P:])
+    normals = signed.take(order, axis=0)
+    dists = -planes[:, n].take(order % P)
+    return keys, ids, normals, dists
+
+
 def symmetric_hull(cloud: PointCloud) -> FacetComplex:
     """Facet complex of the convex hull of the 2m symmetrized points.
 
@@ -205,28 +292,7 @@ def symmetric_hull(cloud: PointCloud) -> FacetComplex:
         raise DegenerateCloudError("degenerate: points do not span")
 
     sym = cloud.symmetrized()
-    # ConvexHull's steps without its total volume and area (module docstring)
-    try:
-        qh = _Qhull(b"i", sym, b"Q0", required_options=b"Qt")
-        try:
-            qh.triangulate()
-            simplices, _, equations, _, _ = qh.get_simplex_facet_array()
-        finally:
-            qh.close()
-    except QhullError as exc:
-        raise DegenerateFacetError(f"degenerate: perturbation required ({exc})") from exc
-
-    # qhull's arrays are read once (int32 rows sorted, then widened; normals
-    # and distances taken through the key order) and dropped before the
-    # pairing and volume pass: a second full copy alive next to qhull's own
-    # used to set the trial's memory peak.
-    ids = np.sort(simplices, axis=1).astype(np.int64)
-    keys = _row_keys(ids, sym.shape[0])
-    order = np.argsort(keys)
-    ids, keys = ids.take(order, axis=0), keys[order]
-    normals = equations[:, :n].take(order, axis=0)
-    dists = -equations[:, n].take(order)
-    del simplices, equations, order
+    keys, ids, normals, dists = _facet_table(sym)
     if np.any(dists <= 1e-12):
         raise DegenerateFacetError(
             "degenerate: perturbation required (facet plane through origin)"
@@ -424,6 +490,14 @@ def validate_complex(fc: FacetComplex) -> ComplexDiagnostics:
     either facet: no verdict is weaker than the full sweep's.  Every other
     facet (unpaired, or in a pair with e above the tolerance) is swept on
     its own with e = 0.
+
+    On a complex from :func:`symmetric_hull` one facet of every pair is a
+    synthesized mirror of the other, so ``central_symmetry`` compares the
+    returned facet with its exact negation and every pair is swept once
+    with e = 0.  Its certificate of the boundary of K is then the sweep of
+    every representative against all 2m points, ridge closure and the
+    exact negation of vertex rows, with the pairing found by
+    :meth:`FacetComplex.antipodes` from the id rows alone.
     """
     checks: list[CheckResult] = []
 
@@ -453,14 +527,19 @@ def validate_complex(fc: FacetComplex) -> ComplexDiagnostics:
     ids = fc.vertex_ids
     partner = fc.antipodes()
     own = np.arange(F)
-    # Column by column: reductions along rows of n entries cost more.
+    # On contiguous id columns: reductions along rows of n entries cost
+    # more.  Ids i and i' below 2m name one base point when |i - i'| is 0 or m.
     unsorted = np.zeros(F, dtype=bool)
     holds_antipodes = np.zeros(F, dtype=bool)
-    base = ids % m
+    cols = ids.T.copy()
+    gap = np.empty(F, dtype=cols.dtype)
     for k in range(1, n):
-        unsorted |= ids[:, k] <= ids[:, k - 1]
+        unsorted |= cols[k] <= cols[k - 1]
         for j in range(k):
-            holds_antipodes |= base[:, j] == base[:, k]
+            np.abs(np.subtract(cols[k], cols[j], out=gap), out=gap)
+            holds_antipodes |= gap == 0
+            holds_antipodes |= gap == m
+    del cols, gap
     flip = fc.normals.take(partner, axis=0)
     flip += fc.normals
     flip = _row_max(np.abs(flip, out=flip))
@@ -487,8 +566,9 @@ def validate_complex(fc: FacetComplex) -> ComplexDiagnostics:
         d = fc.dists[f, None]
         e = mismatch[f]
         tol = COPLANARITY_TOL + e[:, None]
-        mine = G.take(base.take(f, axis=0) + m * np.arange(f.size)[:, None])
-        mine = np.where(ids.take(f, axis=0) < m, mine, -mine) - d
+        fid = ids.take(f, axis=0)
+        mine = G.take(fid % m + m * np.arange(f.size)[:, None])
+        mine = np.where(fid < m, mine, -mine) - d
         residual[f] = np.abs(mine, out=mine).max(axis=1) + e
         A = np.abs(G, out=G)
         count = np.zeros(f.size, dtype=np.int64)
@@ -532,8 +612,8 @@ def validate_complex(fc: FacetComplex) -> ComplexDiagnostics:
 
     # Row i + m must be the exact negation of row i (the sweep visits only
     # the first m rows), and facets must pair up antipodally with negated
-    # normals.  qhull's own normals of both facets are compared, so this
-    # tests geometry independent of the pairing.
+    # normals.  From symmetric_hull every pair holds one synthesized mirror
+    # (see the docstring), so its normals agree exactly.
     antipodal = np.array_equal(fc.vertices[m:], -fc.vertices[:m])
     bad = np.flatnonzero((partner < 0) | (flip > CONTAINMENT_TOL))
     checks.append(

@@ -102,6 +102,29 @@ class TestConfig:
                 ExperimentConfig.from_json_dict(cfg.to_json_dict())
             run_experiment(cfg)
 
+    @pytest.mark.parametrize("key, value", [("workers", 10**9), ("trials", 10**12)])
+    def test_unbounded_counts_fail_before_any_process(self, tmp_path, monkeypatch, key, value):
+        # a pool starts all its workers at once, and the task list holds every
+        # trial; neither is reached, and nothing is forked or listed if it were
+        for name in ("ProcessPoolExecutor", "_trial_task", "derive_seed"):
+            monkeypatch.setattr(harness, name, injected_failure)
+        cfg = small_config(tmp_path, **{"workers": 2, key: value})
+        with pytest.raises(ConfigError, match=f"^{key} must be in"):
+            ExperimentConfig.from_json_dict(cfg.to_json_dict())
+        with pytest.raises(ConfigError, match=f"^{key} must be in"):
+            run_experiment(cfg)
+
+    def test_count_bounds(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+        small_config(tmp_path, workers=2, trials=harness.MAX_TRIALS).validate()
+        for key, value in [("workers", 3), ("trials", harness.MAX_TRIALS + 1)]:
+            with pytest.raises(ConfigError, match=key):
+                small_config(tmp_path, **{key: value}).validate()
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 6)
+        small_config(tmp_path, workers=6).validate()
+        with pytest.raises(ConfigError, match=r"workers must be in \[1, 6\]"):
+            small_config(tmp_path, workers=7).validate()
+
     def test_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json_dict({"grid": [[2, 4]], "bogus": 1})

@@ -146,28 +146,57 @@ class TestConstruction:
         assert count == 1200
 
 
+def full_hull_ids(sym: np.ndarray) -> np.ndarray:
+    """ConvexHull(sym, "Q0")'s id rows, each sorted, in key order."""
+    ids = np.sort(ConvexHull(sym, qhull_options="Q0").simplices, axis=1).astype(np.int64)
+    return ids[np.lexsort(ids.T[::-1])]  # key order is the lexicographic order of id rows
+
+
+def qhull_rows(monkeypatch) -> list[np.ndarray]:
+    """Wrap hull._Qhull; collect the simplices array of every hull it returns."""
+    rows, real = [], hull._Qhull
+
+    class Recording:
+        def __init__(self, *args, **kwargs):
+            self._qh = real(*args, **kwargs)
+
+        def get_simplex_facet_array(self):
+            arrays = self._qh.get_simplex_facet_array()
+            rows.append(arrays[0])
+            return arrays
+
+        def __getattr__(self, name):
+            return getattr(self._qh, name)
+
+    monkeypatch.setattr(hull, "_Qhull", Recording)
+    return rows
+
+
 class TestQhullCall:
-    """qhull runs as ConvexHull(sym, "Q0") runs it, without its total volume and area."""
+    """qhull runs as ConvexHull(sym + apex, "Q0") runs it, without its total volume and area."""
 
     @pytest.mark.parametrize("n, m", [(2, 5), (3, 7), (4, 9), (5, 11), (6, 13), (7, 15), (8, 24)])
     def test_facet_arrays_equal_convex_hulls(self, n, m):
+        # the id rows are exactly the full hull's; every plane is a qhull
+        # plane of another insertion history, or its partner's negated one
         cloud = sample_symmetric_cloud(n, m, derive_seed(14, [n, m]))
         fc = symmetric_hull(cloud)
         ref = ConvexHull(cloud.symmetrized(), qhull_options="Q0")
         ids = np.sort(ref.simplices, axis=1).astype(np.int64)
-        order = np.lexsort(ids.T[::-1])  # key order is the lexicographic order of id rows
+        order = np.lexsort(ids.T[::-1])
         assert np.array_equal(fc.vertex_ids, ids[order])
-        assert np.array_equal(fc.normals, ref.equations[order, :n])
-        assert np.array_equal(fc.dists, -ref.equations[order, n])
+        assert np.abs(fc.normals - ref.equations[order, :n]).max() <= 1e-12
+        assert np.abs(fc.dists + ref.equations[order, n]).max() <= 1e-12
 
     @staticmethod
-    def proxy_qhull(monkeypatch, failing: str = "", error: Exception | None = None) -> list[str]:
-        """Wrap hull._Qhull; list the methods called, and make ``failing`` raise ``error``."""
+    def proxy_qhull(monkeypatch, failing: str = "", error: Exception | None = None) -> list:
+        """Wrap hull._Qhull; list its input, then the methods called; ``failing`` raises ``error``."""
         calls, real = [], hull._Qhull
 
         class Proxy:
-            def __init__(self, *args, **kwargs):
-                self._qh = real(*args, **kwargs)
+            def __init__(self, mode, points, *args, **kwargs):
+                calls.append(points.copy())
+                self._qh = real(mode, points, *args, **kwargs)
 
             def __getattr__(self, name):
                 calls.append(name)
@@ -184,8 +213,15 @@ class TestQhullCall:
 
     def test_volume_area_is_never_called(self, monkeypatch):
         calls = self.proxy_qhull(monkeypatch)
-        assert validate_complex(random_complex(5, 11, 3)).passed
-        assert calls == ["triangulate", "get_simplex_facet_array", "close"]
+        fc = random_complex(5, 11, 3)
+        assert validate_complex(fc).passed
+        points, *methods = calls
+        assert methods == ["triangulate", "get_simplex_facet_array", "close"]
+        # the 2m points, then the apex -APEX_REACH * (largest l1 norm) * e_1
+        assert points.shape == (23, 5)
+        assert np.array_equal(points[:22], fc.vertices)
+        reach = hull.APEX_REACH * np.abs(fc.vertices).sum(axis=1).max()
+        assert np.array_equal(points[22], [-reach, 0.0, 0.0, 0.0, 0.0])
 
     @pytest.mark.parametrize(
         "error, raised",
@@ -195,7 +231,46 @@ class TestQhullCall:
         calls = self.proxy_qhull(monkeypatch, "get_simplex_facet_array", error)
         with pytest.raises(raised, match="injected"):
             random_complex(4, 9, 3)
-        assert calls == ["triangulate", "get_simplex_facet_array", "close"]
+        assert calls[1:] == ["triangulate", "get_simplex_facet_array", "close"]
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(2, 6),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(-20, 20),
+    )
+    def test_half_hull_equals_the_full_hull_at_every_scale(self, n, data, seed, k):
+        # powers of two scale every coordinate exactly, so the complex built
+        # at scale 2^k, scaled back, is judged with tolerances relative to
+        # the body (the absolute ones fail small bodies on their own)
+        m = data.draw(st.integers(n + 1, 3 * n), label="m")
+        cloud = sample_symmetric_cloud(n, m, seed)
+        sym = cloud.symmetrized() * 2.0**k
+        keys, ids, normals, dists = hull._facet_table(sym)
+        assert np.array_equal(ids, full_hull_ids(sym))
+        assert np.array_equal(keys, _row_keys(ids, 2 * m))
+        fc = symmetric_hull(cloud)
+        assert np.array_equal(ids, fc.vertex_ids)
+        scaled = dataclasses.replace(fc, normals=normals, dists=dists * 2.0**-k)
+        assert validate_complex(scaled).passed
+
+    def test_near_apex_returns_pairs_whole(self, monkeypatch):
+        # an apex at half the reach lies just outside K (K is in the unit
+        # ball), so qhull returns most pairs whole and each is kept once
+        cloud = sample_symmetric_cloud(5, 15, 16)
+        fc = symmetric_hull(cloud)
+        returned = qhull_rows(monkeypatch)
+        monkeypatch.setattr(hull, "APEX_REACH", 0.5)
+        near = symmetric_hull(cloud)
+        kept = [frozenset(map(int, r)) for r in returned[0] if 30 not in r]
+        whole = set(kept) & {frozenset((i + 15) % 30 for i in r) for r in kept}
+        assert len(kept) == len(set(kept)) > 0.75 * fc.facet_count
+        assert len(whole) > 0.5 * fc.facet_count
+        assert np.array_equal(near.vertex_ids, fc.vertex_ids)
+        assert np.abs(near.normals - fc.normals).max() <= 1e-12
+        assert np.abs(near.dists - fc.dists).max() <= 1e-12
+        assert validate_complex(near).passed
 
 
 class TestPairSweep:
@@ -371,6 +446,22 @@ class TestValidation:
         ridge = diag.check("ridge_shared_twice")
         assert 3 in ridge.offending and ridge.n_offending >= 4
 
+    def test_unsorted_row_and_repeated_id(self):
+        # id columns compared by |i - i'| in {0, m} flag the rows that
+        # i % m == i' % m flags, in an unsorted row as in a sorted one
+        fc = random_complex(4, 10, 328)
+        ids = fc.vertex_ids.copy()
+        ids[2] = ids[2, ::-1]
+        ids[5, 1] = ids[5, 0]
+        ids[7, 3] = (ids[7, 0] + 10) % 20
+        diag = validate_complex(dataclasses.replace(fc, vertex_ids=ids))
+        base = ids % 10
+        holds = [f for f in range(ids.shape[0]) if len(set(base[f])) < 4]
+        assert holds == [5, 7]
+        assert diag.check("no_antipodal_pair").offending == (5, 7)
+        ridge = diag.check("ridge_shared_twice")
+        assert {2, 5, 7} <= set(ridge.offending) and not ridge.passed
+
     def test_nudged_antipode_fails_central_symmetry(self):
         # the half-size plane sweep trusts row i + m == -row i exactly
         fc = random_complex(4, 10, 324)
@@ -408,8 +499,10 @@ class TestValidation:
         with pytest.raises(DegenerateFacetError, match="antipodal pairs"):
             random_complex(3, 8, 126)
 
-    def test_two_key_passes_per_hull(self, monkeypatch):
-        # the facet keys that order the facets also locate their antipodes
+    def test_key_passes_per_hull(self, monkeypatch):
+        # qhull's rows without the apex and their mirrors are keyed once
+        # each; the antipode lookup keys the full complex once, and the
+        # facet keys that order the facets are not recomputed
         row_keys, shapes = hull._row_keys, []
 
         def counted(rows, id_bound):
@@ -417,9 +510,12 @@ class TestValidation:
             return row_keys(rows, id_bound)
 
         monkeypatch.setattr(hull, "_row_keys", counted)
+        returned = qhull_rows(monkeypatch)
         fc = random_complex(4, 12, 7)
         assert validate_complex(fc).passed
-        assert shapes == [fc.vertex_ids.shape] * 2
+        kept = int(np.count_nonzero((returned[0] != 24).all(axis=1)))
+        assert fc.facet_count // 2 <= kept < fc.facet_count
+        assert shapes == [(kept, 4), (kept, 4), fc.vertex_ids.shape]
 
     def test_cone_measure_positive(self):
         fc = random_complex(5, 12, 5)
@@ -465,6 +561,14 @@ def test_symmetric_hull_traced_peak_at_the_heavy_cell():
     finally:
         tracemalloc.stop()
     assert peak < 0.75 * fc.facet_count * n * n * 8
+
+
+def test_qhull_returns_under_four_fifths_of_the_facets_at_the_heavy_cell(monkeypatch):
+    # the apex hides all but about 0.73 F of the full hull's facets there
+    n, m = 8, 64
+    returned = qhull_rows(monkeypatch)
+    fc = symmetric_hull(sample_symmetric_cloud(n, m, derive_seed(424242, [n, m, 1])))
+    assert returned[0].shape[0] < 0.8 * fc.facet_count
 
 
 class TestUnpackedIds:
