@@ -27,9 +27,6 @@ from .hull import (
     dump_off_like,
 )
 from .moments import (
-    simplex_pair_moment,
-    facet_mean_square,
-    facet_mean_square_pullback,
     polytope_volume,
     polytope_mean_square,
     polytope_covariance,
@@ -39,8 +36,6 @@ from .moments import (
 from .isotropy import (
     IsotropyReport,
     isotropy_constant,
-    isotropic_transform,
-    ball_fallback_bound,
 )
 from .harness import (
     ExperimentConfig,
@@ -67,9 +62,6 @@ __all__ = [
     "validate_complex",
     "inradius",
     "dump_off_like",
-    "simplex_pair_moment",
-    "facet_mean_square",
-    "facet_mean_square_pullback",
     "polytope_volume",
     "polytope_mean_square",
     "polytope_covariance",
@@ -77,8 +69,6 @@ __all__ = [
     "mc_moment_oracle",
     "IsotropyReport",
     "isotropy_constant",
-    "isotropic_transform",
-    "ball_fallback_bound",
     "ExperimentConfig",
     "TrialRecord",
     "run_trial",

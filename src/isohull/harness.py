@@ -736,10 +736,11 @@ def check_isotropy_threshold(records: Sequence[TrialRecord], c_star: float) -> l
 
     The reference column is the bound shape 1 - exp(-n min(1, log(m/n)));
     only the shape is meaningful (its absolute constants are left at 1),
-    the fractions are the data.
+    the fractions are the data.  ``c_star`` must lie in (0, inf).
     """
-    if c_star <= 0:
-        raise ValueError("c_star must be positive")
+    # NaN fails both comparisons, so only a finite value > 0 passes
+    if not 0 < c_star < math.inf:
+        raise ValueError(f"c_star must lie in (0, inf), got {c_star!r}")
     report = []
     for (n, m), recs in _cell_groups(records).items():
         lk = np.array([r.l_k for r in recs])

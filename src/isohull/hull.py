@@ -44,8 +44,8 @@ system; Knuth, TAOCP 4A 7.2.1.3), exact while C(2m, n) < 2^64; every ridge
 key is summed from the same binomial weights without forming the ridges.
 Row i + m of the vertex table is the exact negation of row i; the plane
 sweep relies on that to visit only the m base points and one facet of
-each antipodal pair, and the ``central_symmetry`` check fails any complex
-that breaks it.
+each exactly mirrored antipodal pair, and the ``central_symmetry`` check
+fails any complex that breaks it.
 
 The two facets of a pair have equal (n-1)-volume, distance and cone
 moments.  :meth:`FacetComplex.pairs` finds each facet's partner with one
@@ -131,8 +131,9 @@ class InvalidComplexError(RuntimeError):
 class FacetComplex:
     """Simplicial boundary of a symmetric polytope.
 
-    ``vertices`` is the full 2m-row symmetrized coordinate table;
-    ``vertex_ids`` has one sorted n-tuple of row indices per facet.
+    ``vertices`` is the full 2m-row symmetrized coordinate table, whose
+    rows :m are the base points; ``vertex_ids`` has one sorted n-tuple of
+    row indices per facet.
     Instances are immutable by convention and safe to share across threads.
     """
 
@@ -144,7 +145,6 @@ class FacetComplex:
     volumes: np.ndarray  # (F,) > 0
     cross_sums: np.ndarray  # (F,) sum over i != j of <Q_i, Q_j>
     cone_second: np.ndarray  # (n, n) sum over facets of int_conv(0,F) x x^T
-    source: PointCloud | None = None
     _antipodes: np.ndarray | None = field(default=None, init=False, repr=False)
     _pairs: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
 
@@ -155,14 +155,6 @@ class FacetComplex:
     @property
     def num_points(self) -> int:
         return int(self.vertices.shape[0]) // 2
-
-    def facet_vertices(self) -> np.ndarray:
-        """Coordinates of every facet's vertices, shape (F, n, n).
-
-        Gathered on each call and not kept: at campaign scale it is tens of
-        megabytes.  The trial path works on facet blocks instead.
-        """
-        return self.vertices[self.vertex_ids]
 
     def antipodes(self) -> np.ndarray:
         """Index of each facet's antipodal facet, or -1 where it is absent.
@@ -200,6 +192,7 @@ class FacetComplex:
         return self.dists * self.volumes / self.n
 
     def is_unit(self) -> bool:
+        """Every vertex norm is 1 within UNIT_VERTEX_TOL (the closed forms' domain)."""
         norms = np.linalg.norm(self.vertices, axis=1)
         return bool(np.all(np.abs(norms - 1.0) <= UNIT_VERTEX_TOL))
 
@@ -279,9 +272,10 @@ def symmetric_hull(cloud: PointCloud) -> FacetComplex:
     singular values).  Raises :class:`DegenerateFacetError` when qhull
     fails, a facet plane passes through the origin or has zero volume, or
     the facets do not come in antipodal pairs; callers treat that as a
-    resample event.  Coplanar points are not
-    checked here; :func:`validate_complex` reports them.  Accepts
-    general-position non-unit inputs (the transformed-cloud path).
+    resample event.  Coplanar points are not checked here;
+    :func:`validate_complex` reports them.  Every antipodal pair holds one
+    synthesized exact mirror: the mirrored id row, the negated normal and
+    the same distance.  Accepts general-position non-unit inputs.
     """
     pts = cloud.points
     n = cloud.n
@@ -307,7 +301,6 @@ def symmetric_hull(cloud: PointCloud) -> FacetComplex:
         volumes=np.empty(ids.shape[0]),
         cross_sums=np.empty(ids.shape[0]),
         cone_second=np.zeros((n, n)),
-        source=cloud,
     )
     fc._antipodes = _antipodal_partners(keys, ids, sym.shape[0])
     try:
@@ -471,32 +464,19 @@ def validate_complex(fc: FacetComplex) -> ComplexDiagnostics:
     and the cone decomposition has positive total measure.
 
     The point-side checks (``vertex_on_plane``, ``containment`` and
-    ``simplicial``) sweep one facet F of each mirrored pair F, -F from
-    :meth:`FacetComplex.antipodes` (mutual, distinct, both id rows strictly
-    increasing) whose mismatch
-
-        e = ||n_F + n_-F||_inf * max_i ||P_i||_1 + |d_F - d_-F|
-
-    is at most ``CONTAINMENT_TOL``.  The id rows of -F are those of F
-    mirrored, and vertex row i + m is the exact negation of row i (checked
-    by ``central_symmetry``), so for every point y of the symmetric set
-
-        slack_-F(-y) = slack_F(y) + (-n_-F - n_F) . y + (d_F - d_-F)
-
-    differs from slack_F(y) by at most e, by Hoelder's inequality.  F is
-    swept with every figure tightened by e (residual + e, largest slack + e,
-    points counted on the plane within ``COPLANARITY_TOL`` + e) and -F
-    takes F's figures, so each bounds the figure a full sweep would give
-    either facet: no verdict is weaker than the full sweep's.  Every other
-    facet (unpaired, or in a pair with e above the tolerance) is swept on
-    its own with e = 0.
+    ``simplicial``) sweep a facet F once for itself and its partner -F
+    from :meth:`FacetComplex.antipodes` when the pair is an exact mirror:
+    mutual and distinct, both id rows strictly increasing, n_-F = -n_F and
+    d_-F = d_F exactly.  The id rows of -F are those of F mirrored, and
+    vertex row i + m is the exact negation of row i (checked by
+    ``central_symmetry``), so -F's figures are F's.  Every other facet is
+    swept on its own.
 
     On a complex from :func:`symmetric_hull` one facet of every pair is a
-    synthesized mirror of the other, so ``central_symmetry`` compares the
-    returned facet with its exact negation and every pair is swept once
-    with e = 0.  Its certificate of the boundary of K is then the sweep of
-    every representative against all 2m points, ridge closure and the
-    exact negation of vertex rows, with the pairing found by
+    synthesized exact mirror of the other, so every pair is swept once.
+    Its certificate of the boundary of K is then the sweep of every
+    representative against all 2m points, ridge closure and the exact
+    negation of vertex rows, with the pairing found by
     :meth:`FacetComplex.antipodes` from the id rows alone.
     """
     checks: list[CheckResult] = []
@@ -520,9 +500,9 @@ def validate_complex(fc: FacetComplex) -> ComplexDiagnostics:
     # plane are ||G| - d| and |G| + d; these give each facet's largest
     # slack and the number of points on its hyperplane.
     #
-    # One facet of each mirrored pair is swept for both (see the docstring).
-    # A partner row is the exact antipodal id row when the two rows are
-    # strictly increasing, since keys are one-to-one on such rows.
+    # One facet of each exactly mirrored pair is swept for both (see the
+    # docstring).  A partner row is the exact antipodal id row when the two
+    # rows are strictly increasing, since keys are one-to-one on such rows.
     P = fc.vertices[:m]
     ids = fc.vertex_ids
     partner = fc.antipodes()
@@ -545,14 +525,9 @@ def validate_complex(fc: FacetComplex) -> ComplexDiagnostics:
     flip = _row_max(np.abs(flip, out=flip))
     mirrored = (partner >= 0) & (partner != own) & (partner[partner] == own)
     mirrored &= ~unsorted & ~unsorted[partner]
+    mirrored &= (flip == 0.0) & (fc.dists == fc.dists.take(partner))
     rep = np.flatnonzero(mirrored & (own < partner))
     mate = partner[rep]
-    reach = np.abs(P).sum(axis=1).max(initial=0.0)  # largest l1 norm of a point
-    gap = flip[rep] * reach + np.abs(fc.dists[rep] - fc.dists[mate])
-    tight = gap <= CONTAINMENT_TOL
-    rep, mate = rep[tight], mate[tight]
-    mismatch = np.zeros(F)
-    mismatch[rep] = gap[tight]
     swept = np.ones(F, dtype=bool)
     swept[mate] = False
     swept = np.flatnonzero(swept)
@@ -564,19 +539,17 @@ def validate_complex(fc: FacetComplex) -> ComplexDiagnostics:
         f = swept[blk]
         G = fc.normals.take(f, axis=0) @ P.T
         d = fc.dists[f, None]
-        e = mismatch[f]
-        tol = COPLANARITY_TOL + e[:, None]
         fid = ids.take(f, axis=0)
         mine = G.take(fid % m + m * np.arange(f.size)[:, None])
         mine = np.where(fid < m, mine, -mine) - d
-        residual[f] = np.abs(mine, out=mine).max(axis=1) + e
+        residual[f] = np.abs(mine, out=mine).max(axis=1)
         A = np.abs(G, out=G)
         count = np.zeros(f.size, dtype=np.int64)
-        if np.any(d <= tol):  # else |G| + d > tol everywhere
-            count += np.count_nonzero(A + d <= tol, axis=1)
+        if np.any(d <= COPLANARITY_TOL):  # else |G| + d > tol everywhere
+            count += np.count_nonzero(A + d <= COPLANARITY_TOL, axis=1)
         A -= d
-        viol[f] = A.max(axis=1) + e
-        on_plane[f] = count + np.count_nonzero(np.abs(A, out=A) <= tol, axis=1)
+        viol[f] = A.max(axis=1)
+        on_plane[f] = count + np.count_nonzero(np.abs(A, out=A) <= COPLANARITY_TOL, axis=1)
     for figure in (residual, viol, on_plane):
         figure[mate] = figure[rep]
 

@@ -1,4 +1,4 @@
-"""Isotropy constant, isotropic position, and the cone-decomposition bound.
+"""Isotropy constant of a centered body from its volume and covariance.
 
 For a centered convex body the minimum of the normalized second-moment
 functional over invertible linear maps is attained in closed form by the
@@ -13,8 +13,9 @@ the identity.
 
 The determinant comes from numpy's Cholesky factor, with a pivot guard
 that rejects near-singular covariances; it is the pipeline's one SPD gate
-(:func:`isohull.moments.polytope_covariance` does not factorize).  The
-symmetric inverse square root comes from numpy's ``eigh``.
+(:func:`isohull.moments.polytope_covariance` does not factorize).  The map
+to isotropic position and the contained-ball bound, which no trial needs,
+are test references in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -24,15 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hull import FacetComplex
-from .moments import polytope_covariance, polytope_volume
-from .sphere_stats import PointCloud, ball_volume
-
 __all__ = [
     "IsotropyReport",
     "isotropy_constant",
-    "isotropic_transform",
-    "ball_fallback_bound",
     "NotSPDError",
 ]
 
@@ -86,40 +81,3 @@ def isotropy_constant(volume: float, covariance: np.ndarray) -> IsotropyReport:
     return IsotropyReport(
         l_k=l_k, identity_bound=identity_bound, vol_root=vol_root, det_cov=det
     )
-
-
-def isotropic_transform(fc: FacetComplex) -> tuple[np.ndarray, PointCloud]:
-    """Linear map T putting the body in isotropic position, plus T(cloud).
-
-    T = c * Cov^{-1/2} with the symmetric inverse square root (rotation
-    part fixed to the identity) and c chosen so the image has volume one.
-    Rebuilding the pipeline on the returned cloud yields covariance
-    L_K^2 * Identity.
-    """
-    if fc.source is None:
-        raise ValueError("complex has no source cloud to transform")
-    vol = polytope_volume(fc)
-    cov = polytope_covariance(fc)
-    eigvals, Q = np.linalg.eigh(cov)
-    if np.any(eigvals <= 0.0):
-        raise NotSPDError("not SPD: covariance has a non-positive eigenvalue")
-    inv_sqrt = (Q * (eigvals**-0.5)[None, :]) @ Q.T
-    det_inv_sqrt = float(np.prod(eigvals**-0.5))
-    scale = (det_inv_sqrt * vol) ** (-1.0 / fc.n)
-    T = scale * inv_sqrt
-    return T, fc.source.transformed(T)
-
-
-def ball_fallback_bound(n: int, inradius: float) -> float:
-    """Upper bound on L_K from a contained ball of the given radius.
-
-    When r * B_2^n lies inside the (unit-vertex) body,
-    L_K <= sqrt((w_n r^n)^{-2/n} / n) = 1 / (sqrt(n) r w_n^{1/n}).
-    Decreasing in the inradius; O(1) in n for r bounded below.
-    """
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    if inradius <= 0.0:
-        raise ValueError(f"inradius must be positive, got {inradius}")
-    log_wn = math.log(ball_volume(n))
-    return math.exp(-log_wn / n - math.log(inradius)) / math.sqrt(n)

@@ -23,7 +23,9 @@ complex whose facets do not pair raises :class:`InvalidComplexError` here.
 
 A Monte Carlo oracle (rejection volume for n <= 5, exact in-polytope
 samples from :func:`sample_in_polytope` for the moments) provides an
-independent cross-check of every exact path.
+independent cross-check of every exact path.  The per-facet closed form and
+its term-by-term pullback through the simplex moments, which pin each
+other, live with the other test references in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -33,13 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hull import UNIT_VERTEX_TOL, FacetComplex, InvalidComplexError
+from .hull import FacetComplex, InvalidComplexError
 from .sphere_stats import RngStream, ball_volume, sphere_points
 
 __all__ = [
-    "simplex_pair_moment",
-    "facet_mean_square",
-    "facet_mean_square_pullback",
     "facet_cross_sums",
     "polytope_volume",
     "polytope_mean_square",
@@ -59,60 +58,6 @@ _ORACLE_CHUNK = 1 << 14
 
 class UnitVertexError(ValueError):
     """A closed form requiring unit-norm vertices was fed general vertices."""
-
-
-def simplex_pair_moment(n: int, same: bool) -> float:
-    """Normalized simplex moment (1/|D|) int_D x_{i1} x_{i2} dx.
-
-    Over the standard (n-1)-simplex in barycentric coordinates this equals
-    2/(n(n+1)) when i1 = i2 and 1/(n(n+1)) otherwise.
-    """
-    if n < 1:
-        raise ValueError(f"vertex count must be >= 1, got {n}")
-    return (2.0 if same else 1.0) / (n * (n + 1))
-
-
-def _check_unit(vertices: np.ndarray) -> None:
-    norms = np.linalg.norm(vertices, axis=-1)
-    worst = float(np.abs(norms - 1.0).max())
-    if worst > UNIT_VERTEX_TOL:
-        raise UnitVertexError(
-            f"closed form requires unit vertices (worst deviation {worst:.3e}); "
-            "use the covariance path for general vertices"
-        )
-
-
-def facet_mean_square(vertices: np.ndarray) -> float:
-    """(1/|F|) int_F |x|^2 for a simplex facet with unit-norm vertices.
-
-    Closed form 2/(n+1) + (1/(n(n+1))) sum_{i1 != i2} <Q_i1, Q_i2>.
-    """
-    V = np.asarray(vertices, dtype=float)
-    if V.ndim != 2 or V.shape[0] != V.shape[1]:
-        raise ValueError("expected n vertices in R^n")
-    _check_unit(V)
-    n = V.shape[0]
-    s = V.sum(axis=0)
-    cross = float(s @ s) - float(np.einsum("ij,ij->", V, V))
-    return 2.0 / (n + 1) + cross / (n * (n + 1))
-
-
-def facet_mean_square_pullback(vertices: np.ndarray) -> float:
-    """Same facet integral through the simplex parametrization, term by term.
-
-    Pulls |x|^2 back through the linear map sending the standard simplex
-    onto the facet and sums <Q_i1, Q_i2> against the per-pair simplex
-    moments.  Kept deliberately independent of :func:`facet_mean_square`
-    so the two routes can be pinned against each other.
-    """
-    V = np.asarray(vertices, dtype=float)
-    n = V.shape[0]
-    gram = V @ V.T
-    total = 0.0
-    for i1 in range(n):
-        for i2 in range(n):
-            total += gram[i1, i2] * simplex_pair_moment(n, i1 == i2)
-    return total
 
 
 def facet_cross_sums(fc: FacetComplex) -> np.ndarray:
@@ -140,13 +85,16 @@ def polytope_volume(fc: FacetComplex) -> float:
 def polytope_mean_square(fc: FacetComplex) -> float:
     """(1/|K|) int_K |x|^2 dx, exactly, for unit-vertex complexes.
 
-    Sums dist_i/(n+2) * |F_i| * facet_mean_square_i over one facet per
-    antipodal pair, doubles it and divides by the volume.  Each facet mean
-    square is the closed form 2/(n+1) + cross_i/(n(n+1)), valid only for
-    unit vertices; general-vertex complexes must go through
-    trace(polytope_covariance) instead.
+    Sums dist_i/(n+2) * |F_i| * fms_i over one facet per antipodal pair,
+    doubles it and divides by the volume.  Each facet mean square fms_i is
+    the closed form 2/(n+1) + cross_i/(n(n+1)), valid only for unit
+    vertices (:meth:`FacetComplex.is_unit`); general-vertex complexes must
+    go through trace(polytope_covariance) instead.
     """
-    _check_unit(fc.vertices)
+    if not fc.is_unit():
+        raise UnitVertexError(
+            "closed form requires unit vertices; use the covariance path for general vertices"
+        )
     n = fc.n
     rep, _ = fc.pairs()
     fms = 2.0 / (n + 1) + fc.cross_sums[rep] / (n * (n + 1))

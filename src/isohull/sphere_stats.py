@@ -129,8 +129,7 @@ class PointCloud:
     ``points`` has shape (m, n).  The symmetrized list of 2m points is
     materialized lazily: index i in [0, m) is the i-th point, index i + m
     is its antipode.  Clouds built by :func:`sample_symmetric_cloud` have
-    unit-norm rows; transformed clouds in the general-vertex code path may
-    not.
+    unit-norm rows; other clouds need not.
     """
 
     points: np.ndarray
@@ -153,10 +152,6 @@ class PointCloud:
     def symmetrized(self) -> np.ndarray:
         """The 2m symmetrized points; row i + m is the antipode of row i."""
         return np.vstack([self.points, -self.points])
-
-    def transformed(self, matrix: np.ndarray) -> "PointCloud":
-        """The cloud mapped through an invertible linear map (rows -> T rows)."""
-        return PointCloud(self.points @ np.asarray(matrix, dtype=float).T, seed=None)
 
 
 # Label for the cloud-sampling stream under a trial seed; Monte Carlo
@@ -237,11 +232,14 @@ def psi2_norm_estimate(values: Sequence[float] | np.ndarray) -> float:
 
     Returns the smallest lambda > 0 such that mean(exp(v^2 / lambda^2)) <= 2,
     located by bisection to relative tolerance 1e-6 after geometric bracket
-    growth.  The all-zero sample has norm 0.
+    growth.  The all-zero sample has norm 0; an empty or non-finite sample
+    raises ValueError.
     """
     v = np.abs(np.asarray(values, dtype=float)).ravel()
     if v.size == 0:
         raise ValueError("empty sample")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("sample holds a non-finite value")
     vmax = float(v.max())
     if vmax == 0.0:
         return 0.0

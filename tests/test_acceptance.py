@@ -31,16 +31,15 @@ from isohull.harness import (
     ExperimentConfig,
 )
 from isohull.hull import inradius, symmetric_hull, validate_complex
-from isohull.isotropy import isotropic_transform, isotropy_constant
+from isohull.isotropy import isotropy_constant
 from isohull.moments import (
-    facet_mean_square,
-    facet_mean_square_pullback,
     mc_moment_oracle,
     polytope_covariance,
     polytope_mean_square,
     polytope_volume,
 )
 from isohull.sphere_stats import (
+    PointCloud,
     RngStream,
     bernstein_bound,
     cap_tail_prob,
@@ -49,7 +48,13 @@ from isohull.sphere_stats import (
     sphere_points,
 )
 from conftest import bounded_condition_map, cross_polytope_complex, random_complex
-from oracles import brute_force_facets, double_loop_cross_inner
+from oracles import (
+    brute_force_facets,
+    double_loop_cross_inner,
+    facet_mean_square,
+    facet_mean_square_pullback,
+    isotropic_transform,
+)
 
 ACCEPT_SEED = 777001
 
@@ -130,9 +135,10 @@ def test_criterion_3_hull_correctness(campaign):
         m = n + 1 + (i * 5) % (12 - n)
         seed = derive_seed(ACCEPT_SEED, [3, i])
         i += 1
-        fc = symmetric_hull(sample_symmetric_cloud(n, m, seed))
+        cloud = sample_symmetric_cloud(n, m, seed)
+        fc = symmetric_hull(cloud)
         assert validate_complex(fc).passed
-        sym = np.vstack([fc.source.points, -fc.source.points])
+        sym = np.vstack([cloud.points, -cloud.points])
         got = {frozenset(int(v) for v in row) for row in fc.vertex_ids}
         assert got == brute_force_facets(sym), f"facet mismatch at (n={n}, m={m})"
         count += 1
@@ -166,7 +172,7 @@ def test_criterion_4_isotropy_identities(campaign):
         st = RngStream(ACCEPT_SEED, (4, 21, tag))
         for _ in range(2):
             T = bounded_condition_map(st, n, 0.4, 3.6)  # condition <= 10
-            fc2 = symmetric_hull(fc.source.transformed(T))
+            fc2 = symmetric_hull(PointCloud(fc.vertices[: fc.num_points] @ T.T))
             lk2 = isotropy_constant(polytope_volume(fc2), polytope_covariance(fc2)).l_k
             assert abs(lk2 - base) <= 1e-8 * base
 

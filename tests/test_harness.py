@@ -397,6 +397,12 @@ class TestChecks:
         tiny = check_isotropy_threshold(check_records, tiny_threshold)
         assert all(cell["fraction"] == 0.0 for cell in tiny)
 
+    @pytest.mark.parametrize("c_star", [math.nan, math.inf, 0.0, -1.0])
+    def test_threshold_outside_open_half_line_raises(self, check_records, c_star):
+        # NaN would compare False everywhere and report fraction 0 per cell
+        with pytest.raises(ValueError, match="c_star"):
+            check_isotropy_threshold(check_records, c_star)
+
     def test_bound_shape_column(self, check_records):
         rep = check_isotropy_threshold(check_records, 1.0)
         for cell in rep:

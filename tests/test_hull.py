@@ -22,6 +22,7 @@ from isohull.hull import (
     _ridges,
     _row_keys,
     dump_off_like,
+    facet_blocks,
     inradius,
     symmetric_hull,
     validate_complex,
@@ -123,11 +124,9 @@ class TestConstruction:
 
     def test_matches_oracle_on_random_instances(self):
         for n, m, seed in [(2, 6, 1), (3, 8, 2), (4, 10, 3), (4, 12, 4)]:
-            fc = random_complex(n, m, seed)
-            sym = np.vstack(
-                [fc.source.points, -fc.source.points]
-            )
-            assert facet_id_sets(fc) == brute_force_facets(sym)
+            cloud = sample_symmetric_cloud(n, m, seed)
+            sym = np.vstack([cloud.points, -cloud.points])
+            assert facet_id_sets(symmetric_hull(cloud)) == brute_force_facets(sym)
 
     def test_no_degeneracies_in_random_sweep(self):
         # the coplanarity check should never trip for generic sphere points;
@@ -314,23 +313,41 @@ class TestPairSweep:
             assert check.n_offending <= OFFENDING_LIMIT, name
             assert set(expected) <= set(check.offending), name
 
-    @pytest.mark.parametrize("scale, flagged", [(0.4, False), (0.6, True)])
-    def test_pair_mismatch_tightens_the_thresholds(self, scale, flagged):
-        # F's plane moved inward by s * tol: every true figure stays below
-        # tol, and the pair F, -F (mismatch e = s * tol) is swept once with
-        # F's residual and slack raised by e, so both facets fail at s > 1/2
+    @pytest.mark.parametrize("scale", [0.6, 1.5])
+    def test_inexact_pair_is_swept_facet_by_facet(self, scale):
+        # F's plane moved inward by s * tol: the pair F, -F is no exact
+        # mirror, so each facet is swept on its own and the flags are the
+        # dense sweep's, none at s < 1 and F alone at s > 1
         fc = random_complex(4, 10, 14)
-        rep, mate = fc.pairs()
-        f, g = int(rep[0]), int(mate[0])
+        rep, _ = fc.pairs()
+        f = int(rep[0])
         dists = fc.dists.copy()
         dists[f] -= scale * CONTAINMENT_TOL
         mutant = dataclasses.replace(fc, dists=dists)
-        assert all(bad.size == 0 for bad in self.dense_flags(mutant).values())
         diag = validate_complex(mutant)
-        for name in ("vertex_on_plane", "containment"):
-            assert diag.check(name).offending == ((f, g) if flagged else ()), name
+        dense = self.dense_flags(mutant)
+        for name, expected in dense.items():
+            assert diag.check(name).offending == tuple(expected), name
+        flagged = (f,) if scale > 1.0 else ()
+        assert tuple(dense["vertex_on_plane"]) == tuple(dense["containment"]) == flagged
         assert diag.check("central_symmetry").passed
-        assert diag.check("simplicial").passed
+
+    @pytest.mark.parametrize("n, m", [(3, 9), (5, 15), (8, 24)])
+    def test_construction_pairs_are_swept_once(self, n, m, monkeypatch):
+        # every pair symmetric_hull returns is an exact mirror, so the plane
+        # sweep (blocks m floats wide) visits F/2 facets
+        fc = random_complex(n, m, derive_seed(424242, [n, m, 2]))
+        swept = []
+
+        def recording(count, width):
+            for blk in facet_blocks(count, width):
+                if width == m:
+                    swept.append(len(range(count)[blk]))
+                yield blk
+
+        monkeypatch.setattr(hull, "facet_blocks", recording)
+        assert validate_complex(fc).passed
+        assert sum(swept) == fc.facet_count // 2
 
     @pytest.mark.parametrize("on_plane", [0, 3], ids=["no-base-point", "three-base-points"])
     def test_plane_through_the_origin(self, on_plane):
@@ -528,7 +545,7 @@ class TestValidation:
 
         for n, m, seed in [(2, 5, 61), (3, 7, 62), (5, 11, 63), (8, 12, 64)]:
             fc = random_complex(n, m, seed)
-            V = fc.facet_vertices()
+            V = fc.vertices[fc.vertex_ids]
             E = V[:, 1:, :] - V[:, :1, :]
             G = np.einsum("fik,fjk->fij", E, E)
             gram = np.sqrt(np.maximum(np.linalg.det(G), 0.0)) / math.factorial(n - 1)

@@ -7,17 +7,12 @@ import numpy as np
 import pytest
 
 from isohull.hull import symmetric_hull
-from isohull.isotropy import (
-    NotSPDError,
-    ball_fallback_bound,
-    isotropic_transform,
-    isotropy_constant,
-)
+from isohull.isotropy import NotSPDError, isotropy_constant
 from isohull.moments import polytope_covariance, polytope_volume
-from isohull.sphere_stats import RngStream, sphere_points
+from isohull.sphere_stats import PointCloud, RngStream, sphere_points
 from isohull.hull import inradius
 from conftest import bounded_condition_map, cross_polytope_complex, random_complex
-from oracles import cofactor_det
+from oracles import ball_fallback_bound, cofactor_det, isotropic_transform
 
 
 def random_spd(n: int, seed: int) -> np.ndarray:
@@ -105,7 +100,7 @@ class TestIsotropyConstant:
         base = isotropy_constant(polytope_volume(fc), polytope_covariance(fc)).l_k
         for seed in (513, 514):
             T = bounded_condition_map(RngStream(seed), 3, 0.5, 1.5)  # condition <= 4
-            fc2 = symmetric_hull(fc.source.transformed(T))
+            fc2 = symmetric_hull(PointCloud(fc.vertices[: fc.num_points] @ T.T))
             other = isotropy_constant(polytope_volume(fc2), polytope_covariance(fc2)).l_k
             assert other == pytest.approx(base, rel=1e-8)
 

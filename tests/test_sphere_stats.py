@@ -282,6 +282,13 @@ class TestPsi2Norm:
         lam = psi2_norm_estimate(vals)
         assert float(np.exp((vals / lam) ** 2).mean()) <= 2.0 + 1e-12
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_raises(self, bad):
+        # no lambda satisfies a sample holding one non-finite value, so the
+        # bracket would double forever
+        with pytest.raises(ValueError, match="non-finite"):
+            psi2_norm_estimate(np.array([0.5, bad, 1.0]))
+
     def test_fitted_bound_fixture(self, calibration):
         from isohull.harness import psi2_sphere_estimates
 
