@@ -15,20 +15,20 @@ without the apex id 2m spans a supporting hyperplane of K through n of its
 vertices, so it is a facet of K.  A facet of K with outward normal u and
 distance d is a facet of conv(K, a) exactly when <u, a> < d, and since
 <u, a> + <-u, a> = 0 < 2d at least one facet of every pair survives, with
-a at least d inside its plane.  The member of smaller key represents each
-pair, with its own qhull plane or its returned partner's negated one, and
-the other member is synthesized: ids (ids + m) mod 2m, the exact negated
-normal and the same distance.  At (n, m) = (8, 64) qhull then returns
-about 0.73 F rows in place of F.  R = 100 is the fastest of 10, 30, 100
-and 300 there; a farther apex gains nothing, since qhull's roundoff grows
-with the largest coordinate.
+a at least d inside its plane.  The complex keeps one row per pair: the
+member of smaller key, with its own qhull plane or its returned partner's
+negated one.  The other member is implied: ids (ids + m) mod 2m, the
+exact negated normal and the same distance.  At (n, m) = (8, 64) qhull
+then returns about 0.73 F rows in place of F.  R = 100 is the fastest of
+10, 30, 100 and 300 there; a farther apex gains nothing, since qhull's
+roundoff grows with the largest coordinate.
 
 qhull is called through scipy's private ``scipy.spatial._qhull._Qhull``,
 with the steps of ``ConvexHull.__init__`` except its total volume and
 area (qhull's ``qh_getarea`` over every facet, about 0.1 s of an (8, 64)
 hull, never read here) and its copy of the points.  ``TestQhullCall`` in
-``tests/test_hull.py`` pins the call: the id rows equal ``ConvexHull``'s
-without the apex and the planes agree within 1e-12, ``volume_area`` is
+``tests/test_hull.py`` pins the call: the implied facets equal
+``ConvexHull``'s without the apex and the planes agree within 1e-12, ``volume_area`` is
 never called and ``close`` always is, so a scipy release that changes the
 private entry point fails there.
 
@@ -43,22 +43,19 @@ sorted vertex ids among all n-subsets of the 2m ids (combinatorial number
 system; Knuth, TAOCP 4A 7.2.1.3), exact while C(2m, n) < 2^64; every ridge
 key is summed from the same binomial weights without forming the ridges.
 Row i + m of the vertex table is the exact negation of row i; the plane
-sweep relies on that to visit only the m base points and one facet of
-each exactly mirrored antipodal pair, and the ``central_symmetry`` check
-fails any complex that breaks it.
+sweep relies on that to visit only the m base points and each row once for
+itself and its mirror, and the ``central_symmetry`` check fails any complex
+that breaks it.
 
 The two facets of a pair have equal (n-1)-volume, distance and cone
-moments.  :meth:`FacetComplex.pairs` finds each facet's partner with one
-``searchsorted`` of the antipodal keys among the sorted facet keys and
-lists one representative per pair.  One pass over the representatives,
-in facet blocks of about ``_BLOCK_FLOATS`` float64s per temporary, gathers
-each facet's vertices once and gives its volume, its cross sum and its
-cone second moment (read by :mod:`isohull.moments`), so no (F, n, n)
-gather is ever held and no BLAS product is large enough to wake OpenBLAS
-threads.
+moments, so every per-facet array holds P = F/2 rows.  One pass over the
+rows, in blocks of about ``_BLOCK_FLOATS`` float64s per temporary, gathers
+each row's vertices once and gives its volume, its cross sum and its cone
+second moment (read by :mod:`isohull.moments`), so no (F, n, n) gather is
+ever held and no BLAS product is large enough to wake OpenBLAS threads.
 
-All facet geometry is stored as flat arrays (ids, normals, distances,
-(n-1)-volumes, cross sums) to keep per-trial work vectorized.
+All facet geometry is stored as flat per-row arrays (ids, normals,
+distances, (n-1)-volumes, cross sums) to keep per-trial work vectorized.
 :class:`InvalidComplexError` is a structural fault; a covariance that is
 not positive-definite is ``NotSPDError`` from the one SPD gate,
 :func:`isohull.isotropy.isotropy_constant`.
@@ -69,7 +66,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import QhullError
@@ -129,66 +126,38 @@ class InvalidComplexError(RuntimeError):
 
 @dataclass(eq=False)
 class FacetComplex:
-    """Simplicial boundary of a symmetric polytope.
+    """Simplicial boundary of a centrally symmetric polytope, one row per antipodal pair.
 
-    ``vertices`` is the full 2m-row symmetrized coordinate table, whose
-    rows :m are the base points; ``vertex_ids`` has one sorted n-tuple of
-    row indices per facet.
+    ``vertices`` is the full 2m-row symmetrized coordinate table: rows :m
+    are the base points and row i + m is the negation of row i.  Row i of
+    ``vertex_ids``, ``normals``, ``dists``, ``volumes`` and ``cross_sums``
+    is the facet F of its pair F, -F with the smaller key, and rows are in
+    key order.  The facet -F is implied: its id row is
+    sort((ids + m) mod 2m), its normal is -normals[i], and its distance,
+    volume and cross sum are row i's.  ``facet_count`` counts both members
+    of every pair, and ``cone_second`` sums over all of them.
     Instances are immutable by convention and safe to share across threads.
     """
 
     n: int
     vertices: np.ndarray  # (2m, n)
-    vertex_ids: np.ndarray  # (F, n) int64, rows sorted
-    normals: np.ndarray  # (F, n) unit outward
-    dists: np.ndarray  # (F,) > 0
-    volumes: np.ndarray  # (F,) > 0
-    cross_sums: np.ndarray  # (F,) sum over i != j of <Q_i, Q_j>
-    cone_second: np.ndarray  # (n, n) sum over facets of int_conv(0,F) x x^T
-    _antipodes: np.ndarray | None = field(default=None, init=False, repr=False)
-    _pairs: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
+    vertex_ids: np.ndarray  # (P, n) int64, rows sorted
+    normals: np.ndarray  # (P, n) unit outward
+    dists: np.ndarray  # (P,) > 0
+    volumes: np.ndarray  # (P,) > 0
+    cross_sums: np.ndarray  # (P,) sum over i != j of <Q_i, Q_j>
+    cone_second: np.ndarray  # (n, n) sum over all 2P facets of int_conv(0,F) x x^T
 
     @property
     def facet_count(self) -> int:
-        return int(self.vertex_ids.shape[0])
+        return 2 * int(self.vertex_ids.shape[0])
 
     @property
     def num_points(self) -> int:
         return int(self.vertices.shape[0]) // 2
 
-    def antipodes(self) -> np.ndarray:
-        """Index of each facet's antipodal facet, or -1 where it is absent.
-
-        Cached; :func:`symmetric_hull` sets it from the keys it sorted by.
-        Facets must be in key order, as :func:`symmetric_hull` leaves them.
-        """
-        if self._antipodes is None:
-            N = self.vertices.shape[0]
-            self._antipodes = _antipodal_partners(_row_keys(self.vertex_ids, N), self.vertex_ids, N)
-        return self._antipodes
-
-    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """(representative, partner) facet indices, one entry per antipodal pair.
-
-        Cached.  The representative is the facet of the pair that comes
-        first in key order.  Raises :class:`InvalidComplexError` when the
-        facets do not pair up.
-        """
-        if self._pairs is None:
-            partner = self.antipodes()
-            own = np.arange(partner.size)
-            if (
-                np.any(partner < 0)
-                or np.any(partner == own)
-                or not np.array_equal(partner[partner], own)
-            ):
-                raise InvalidComplexError("facets do not come in antipodal pairs")
-            rep = np.flatnonzero(partner > own)
-            self._pairs = (rep, partner[rep])
-        return self._pairs
-
     def cone_volumes(self) -> np.ndarray:
-        """Volume of each cone conv(0, facet): dist * facet_volume / n."""
+        """Volume of each row's cone conv(0, F), and its mirror's: dist * facet_volume / n."""
         return self.dists * self.volumes / self.n
 
     def is_unit(self) -> bool:
@@ -197,13 +166,19 @@ class FacetComplex:
         return bool(np.all(np.abs(norms - 1.0) <= UNIT_VERTEX_TOL))
 
 
-def _facet_table(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Keys, id rows, normals and distances of the facets of conv(sym), in key order.
+def _mirror_rows(vertex_ids: np.ndarray, id_bound: int) -> np.ndarray:
+    """The sorted id row of each facet's antipode: (ids + m) mod 2m, sorted."""
+    return np.sort((vertex_ids + id_bound // 2) % id_bound, axis=1)
+
+
+def _facet_table(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Id rows, normals and distances of one facet per antipodal pair of conv(sym).
 
     qhull runs over the 2m rows of ``sym`` and the apex -APEX_REACH * r * e_1
-    (id 2m), and every facet is read from one facet of its antipodal pair;
-    see the module docstring.  Raises :class:`DegenerateFacetError` when
-    qhull fails.
+    (id 2m), and each pair is read from a facet of it that qhull returned;
+    see the module docstring.  Each row is the member of its pair with the
+    smaller key, and rows are in key order.  Raises
+    :class:`DegenerateFacetError` when qhull fails.
     """
     N, n = sym.shape
     apex = np.zeros((1, n))
@@ -220,8 +195,10 @@ def _facet_table(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
         raise DegenerateFacetError(f"degenerate: perturbation required ({exc})") from exc
 
     # Rows without the apex are facets of K.  Each is read with its mirror
-    # row, (ids + m) % 2m sorted, and the smaller of the two keys names the
-    # pair: a pair qhull returned whole is kept once, from that member.
+    # row, and the smaller of the two keys names the pair: a pair qhull
+    # returned whole is kept once, from the member of smaller key.  qhull's
+    # arrays are dropped once read: whole copies alive together set the
+    # trial's memory peak.
     kept = simplices[:, 0] != N
     for col in simplices.T[1:]:
         kept &= col != N
@@ -229,40 +206,28 @@ def _facet_table(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     ids = np.sort(simplices.take(kept, axis=0), axis=1)
     planes = equations.take(kept, axis=0)
     del simplices, equations, kept
-    mirror = np.sort((ids + N // 2) % N, axis=1)
+    mirror = _mirror_rows(ids, N)
     own_keys, mirror_keys = _row_keys(ids, N), _row_keys(mirror, N)
+    flip = mirror_keys < own_keys
     pair_keys = np.minimum(own_keys, mirror_keys)
-    order = np.lexsort((mirror_keys < own_keys, pair_keys))
+    del own_keys, mirror_keys
+    order = np.lexsort((flip, pair_keys))
     pair_keys = pair_keys.take(order)
     first = np.ones(order.size, dtype=bool)
     np.not_equal(pair_keys[1:], pair_keys[:-1], out=first[1:])
     sel = order[first]
     del pair_keys, order, first
 
-    # Row i < P of the facet table is kept row sel[i] with its own plane, row
-    # P + i its mirror with the exact negation of that plane; both halves are
-    # then laid out in key order.  qhull's arrays are dropped once read, and
-    # each table is filled in place: whole copies alive together set the
-    # trial's memory peak.
-    P = sel.size
-    keys = np.empty(2 * P, dtype=np.uint64)
-    own_keys.take(sel, out=keys[:P])
-    mirror_keys.take(sel, out=keys[P:])
-    order = np.argsort(keys)
-    keys = keys.take(order)
-    rows = np.empty((2 * P, n), dtype=np.int64)
-    rows[:P] = ids.take(sel, axis=0)
-    rows[P:] = mirror.take(sel, axis=0)
-    del ids, mirror, own_keys, mirror_keys
-    ids = rows.take(order, axis=0)
-    del rows
+    # Row i is kept row sel[i] with its own plane, or its mirror with the
+    # exact negation of that plane when the mirror has the smaller key.
+    flip = flip.take(sel)
+    rows = ids.take(sel, axis=0).astype(np.int64)
+    rows[flip] = mirror.take(sel[flip], axis=0)
+    del ids, mirror
     planes = planes.take(sel, axis=0)
-    signed = np.empty((2 * P, n))
-    signed[:P] = planes[:, :n]
-    np.negative(signed[:P], out=signed[P:])
-    normals = signed.take(order, axis=0)
-    dists = -planes[:, n].take(order % P)
-    return keys, ids, normals, dists
+    normals = np.ascontiguousarray(planes[:, :n])
+    np.negative(normals, out=normals, where=flip[:, None])
+    return rows, normals, -planes[:, n]
 
 
 def symmetric_hull(cloud: PointCloud) -> FacetComplex:
@@ -270,12 +235,12 @@ def symmetric_hull(cloud: PointCloud) -> FacetComplex:
 
     Requires the cloud to span R^n (rank checked at tolerance 1e-9 on the
     singular values).  Raises :class:`DegenerateFacetError` when qhull
-    fails, a facet plane passes through the origin or has zero volume, or
-    the facets do not come in antipodal pairs; callers treat that as a
-    resample event.  Coplanar points are not checked here;
-    :func:`validate_complex` reports them.  Every antipodal pair holds one
-    synthesized exact mirror: the mirrored id row, the negated normal and
-    the same distance.  Accepts general-position non-unit inputs.
+    fails or a facet plane passes through the origin or has zero volume;
+    callers treat that as a resample event.  Coplanar points are not
+    checked here; :func:`validate_complex` reports them.  The complex holds
+    one row per antipodal pair, and the other member of each pair is its
+    exact mirror (see :class:`FacetComplex`).  Accepts general-position
+    non-unit inputs.
     """
     pts = cloud.points
     n = cloud.n
@@ -286,27 +251,11 @@ def symmetric_hull(cloud: PointCloud) -> FacetComplex:
         raise DegenerateCloudError("degenerate: points do not span")
 
     sym = cloud.symmetrized()
-    keys, ids, normals, dists = _facet_table(sym)
+    ids, normals, dists = _facet_table(sym)
     if np.any(dists <= 1e-12):
         raise DegenerateFacetError(
             "degenerate: perturbation required (facet plane through origin)"
         )
-
-    fc = FacetComplex(
-        n=n,
-        vertices=sym,
-        vertex_ids=ids,
-        normals=normals,
-        dists=dists,
-        volumes=np.empty(ids.shape[0]),
-        cross_sums=np.empty(ids.shape[0]),
-        cone_second=np.zeros((n, n)),
-    )
-    fc._antipodes = _antipodal_partners(keys, ids, sym.shape[0])
-    try:
-        rep, partner = fc.pairs()
-    except InvalidComplexError as exc:
-        raise DegenerateFacetError(f"degenerate: perturbation required ({exc})") from exc
 
     # (n-1)-volume through the cone determinant: the simplex conv(0, F) has
     # volume |det[Q_1 ... Q_n]| / n! = dist * |F| / n, so
@@ -315,26 +264,24 @@ def symmetric_hull(cloud: PointCloud) -> FacetComplex:
     # tests pin the two routes together).  Cross sums and cone second
     # moments as in :mod:`isohull.moments`; the antipodal facet has the
     # same volume, cross sum and second-moment matrix.
-    volumes, cross, second = fc.volumes, fc.cross_sums, fc.cone_second
+    P = ids.shape[0]
+    volumes, cross, second = np.empty(P), np.empty(P), np.zeros((n, n))
     scale = math.factorial(n - 1)
-    for blk in facet_blocks(rep.size, n * n):
-        r = rep[blk]
-        V = sym.take(ids.take(r, axis=0), axis=0)
-        volumes[r] = np.abs(np.linalg.det(V)) / (scale * dists[r])
+    for blk in facet_blocks(P, n * n):
+        V = sym.take(ids[blk], axis=0)
+        volumes[blk] = np.abs(np.linalg.det(V)) / (scale * dists[blk])
         s = V.sum(axis=1)
-        cross[r] = np.einsum("fi,fi->f", s, s) - np.einsum("fki,fki->f", V, V)
+        cross[blk] = np.einsum("fi,fi->f", s, s) - np.einsum("fki,fki->f", V, V)
         # sum_f w_f (sum_k v v^T + s s^T) as two flat matrix products
-        w = dists[r] * volumes[r] / (n * (n + 1.0) * (n + 2.0))
+        w = dists[blk] * volumes[blk] / (n * (n + 1.0) * (n + 2.0))
         second += V.reshape(-1, n).T @ (V * w[:, None, None]).reshape(-1, n)
         second += s.T @ (s * w[:, None])
-    volumes[partner] = volumes[rep]
-    cross[partner] = cross[rep]
     second *= 2.0
     if np.any(volumes <= 1e-14):
         raise DegenerateFacetError(
             "degenerate: perturbation required (zero-volume facet)"
         )
-    return fc
+    return FacetComplex(n, sym, ids, normals, dists, volumes, cross, second)
 
 
 @dataclass(frozen=True)
@@ -421,98 +368,54 @@ def _all_keys_paired(keys: np.ndarray) -> bool:
     return np.array_equal(k[0::2], k[1::2]) and bool(np.all(k[1:-1:2] != k[2::2]))
 
 
-def _antipodal_partners(keys: np.ndarray, vertex_ids: np.ndarray, id_bound: int) -> np.ndarray:
-    """Index of each facet's antipodal facet, or -1 when it is absent.
-
-    One ``searchsorted`` of the antipodal keys among the facet ``keys``,
-    which are sorted as facets are kept in key order.  The antipodal keys
-    are searched in ascending order, which keeps the search in cache (at
-    (n, m) = (8, 64) a third of the time of a search in facet order).
-    """
-    anti_keys = _row_keys(np.sort((vertex_ids + id_bound // 2) % id_bound, axis=1), id_bound)
-    order = np.argsort(anti_keys)
-    anti_keys = anti_keys[order]
-    pos = np.minimum(np.searchsorted(keys, anti_keys), keys.size - 1)
-    partners = np.empty(keys.size, dtype=np.intp)
-    partners[order] = np.where(keys[pos] == anti_keys, pos, -1)
-    return partners
-
-
-def _row_max(x: np.ndarray) -> np.ndarray:
-    """Largest entry of each row of a narrow (F, n) array, one column at a time."""
-    out = x[:, 0].copy()
-    for col in x.T[1:]:
-        np.maximum(out, col, out=out)
-    return out
-
-
 def _first(idx: np.ndarray) -> tuple[int, ...]:
     return tuple(int(i) for i in idx[:OFFENDING_LIMIT])
 
 
 def validate_complex(fc: FacetComplex) -> ComplexDiagnostics:
-    """Re-check every structural invariant of a facet complex.
+    """Re-check every structural invariant of the implied complex R u -R.
 
-    Pure; returns a per-check report with offending facet indices instead
-    of raising.  Checks: facet vertices lie on their hyperplane, no facet
-    contains an antipodal pair, distances are positive (and at most 1 for
-    unit-vertex complexes), facet id rows are strictly increasing and every
-    ridge is shared by exactly two facets, vertex rows and facets come in
-    exact antipodal pairs (facets with negated normals), all points lie on
-    the inner side of every facet, no facet's hyperplane carries more than
-    n points (a coplanar, non-simplicial facet that qhull triangulated),
-    and the cone decomposition has positive total measure.
+    R is the complex's rows and -R their mirrors (see :class:`FacetComplex`).
+    Pure; returns a per-check report with offending row indices of R
+    instead of raising.  Checks: facet vertices lie on their hyperplane, no
+    facet contains an antipodal pair, distances are positive (and at most 1
+    for unit-vertex complexes), id rows are strictly increasing and every
+    ridge of R u -R is shared by exactly two of its facets, vertex rows m..
+    are the exact negation of rows ..m and the 2P facets of R u -R are
+    distinct, all points lie on the inner side of every facet, no facet's
+    hyperplane carries more than n points (a coplanar, non-simplicial facet
+    that qhull triangulated), and the cone decomposition has positive total
+    measure.
 
     The point-side checks (``vertex_on_plane``, ``containment`` and
-    ``simplicial``) sweep a facet F once for itself and its partner -F
-    from :meth:`FacetComplex.antipodes` when the pair is an exact mirror:
-    mutual and distinct, both id rows strictly increasing, n_-F = -n_F and
-    d_-F = d_F exactly.  The id rows of -F are those of F mirrored, and
-    vertex row i + m is the exact negation of row i (checked by
-    ``central_symmetry``), so -F's figures are F's.  Every other facet is
-    swept on its own.
+    ``simplicial``) sweep each row of R once, against the m base points.
+    The mirror -F has the vertices of F negated (vertex row i + m is the
+    exact negation of row i, checked by ``central_symmetry``), the negated
+    normal and the same distance, so its figures are F's.
 
-    On a complex from :func:`symmetric_hull` one facet of every pair is a
-    synthesized exact mirror of the other, so every pair is swept once.
-    Its certificate of the boundary of K is then the sweep of every
-    representative against all 2m points, ridge closure and the exact
-    negation of vertex rows, with the pairing found by
-    :meth:`FacetComplex.antipodes` from the id rows alone.
+    The certificate of the boundary of K is then the sweep of R against all
+    2m points, ridge closure of R u -R and the distinctness of its facets,
+    all read from the id rows, normals and distances alone.
     """
     checks: list[CheckResult] = []
 
     def check(name: str, bad: np.ndarray, detail: str = "", n_offending: int | None = None):
-        # A check that fails at the facet indices ``bad``; ``n_offending``
+        # A check that fails at the row indices ``bad``; ``n_offending``
         # defaults to their count.
         count = bad.size if n_offending is None else n_offending
         checks.append(CheckResult(name, count == 0, _first(bad), int(count), detail))
 
-    F = fc.facet_count
-    n = fc.n
+    ids = fc.vertex_ids
+    P, n = ids.shape
     two_m = fc.vertices.shape[0]
     m = two_m // 2
 
-    # One sweep over blocks of the facet-major inner products G = N P^T of
-    # swept facet normals with the m base points.  Vertex id i is base point
-    # i % m, negated for i >= m, so the facet's own vertices read their
-    # plane residuals from G.  A point and its antipode have slacks G - d
-    # and -G - d, so the larger is |G| - d, and their distances to the
-    # plane are ||G| - d| and |G| + d; these give each facet's largest
-    # slack and the number of points on its hyperplane.
-    #
-    # One facet of each exactly mirrored pair is swept for both (see the
-    # docstring).  A partner row is the exact antipodal id row when the two
-    # rows are strictly increasing, since keys are one-to-one on such rows.
-    P = fc.vertices[:m]
-    ids = fc.vertex_ids
-    partner = fc.antipodes()
-    own = np.arange(F)
     # On contiguous id columns: reductions along rows of n entries cost
     # more.  Ids i and i' below 2m name one base point when |i - i'| is 0 or m.
-    unsorted = np.zeros(F, dtype=bool)
-    holds_antipodes = np.zeros(F, dtype=bool)
+    unsorted = np.zeros(P, dtype=bool)
+    holds_antipodes = np.zeros(P, dtype=bool)
     cols = ids.T.copy()
-    gap = np.empty(F, dtype=cols.dtype)
+    gap = np.empty(P, dtype=cols.dtype)
     for k in range(1, n):
         unsorted |= cols[k] <= cols[k - 1]
         for j in range(k):
@@ -520,43 +423,37 @@ def validate_complex(fc: FacetComplex) -> ComplexDiagnostics:
             holds_antipodes |= gap == 0
             holds_antipodes |= gap == m
     del cols, gap
-    flip = fc.normals.take(partner, axis=0)
-    flip += fc.normals
-    flip = _row_max(np.abs(flip, out=flip))
-    mirrored = (partner >= 0) & (partner != own) & (partner[partner] == own)
-    mirrored &= ~unsorted & ~unsorted[partner]
-    mirrored &= (flip == 0.0) & (fc.dists == fc.dists.take(partner))
-    rep = np.flatnonzero(mirrored & (own < partner))
-    mate = partner[rep]
-    swept = np.ones(F, dtype=bool)
-    swept[mate] = False
-    swept = np.flatnonzero(swept)
 
-    residual = np.empty(F)
-    viol = np.empty(F)
-    on_plane = np.empty(F, dtype=np.int64)
-    for blk in facet_blocks(swept.size, m):
-        f = swept[blk]
-        G = fc.normals.take(f, axis=0) @ P.T
-        d = fc.dists[f, None]
-        fid = ids.take(f, axis=0)
-        mine = G.take(fid % m + m * np.arange(f.size)[:, None])
+    # One sweep over blocks of the row-major inner products G = N B^T of
+    # the normals with the m base points B.  Vertex id i is base point
+    # i % m, negated for i >= m, so the row's own vertices read their plane
+    # residuals from G.  A point and its antipode have slacks G - d and
+    # -G - d, so the larger is |G| - d, and their distances to the plane
+    # are ||G| - d| and |G| + d; these give each row's largest slack and
+    # the number of points on its hyperplane.
+    base = fc.vertices[:m]
+    residual = np.empty(P)
+    viol = np.empty(P)
+    on_plane = np.empty(P, dtype=np.int64)
+    for blk in facet_blocks(P, m):
+        G = fc.normals[blk] @ base.T
+        d = fc.dists[blk, None]
+        fid = ids[blk]
+        mine = G.take(fid % m + m * np.arange(fid.shape[0])[:, None])
         mine = np.where(fid < m, mine, -mine) - d
-        residual[f] = np.abs(mine, out=mine).max(axis=1)
+        residual[blk] = np.abs(mine, out=mine).max(axis=1)
         A = np.abs(G, out=G)
-        count = np.zeros(f.size, dtype=np.int64)
+        count = np.zeros(fid.shape[0], dtype=np.int64)
         if np.any(d <= COPLANARITY_TOL):  # else |G| + d > tol everywhere
             count += np.count_nonzero(A + d <= COPLANARITY_TOL, axis=1)
         A -= d
-        viol[f] = A.max(axis=1)
-        on_plane[f] = count + np.count_nonzero(np.abs(A, out=A) <= COPLANARITY_TOL, axis=1)
-    for figure in (residual, viol, on_plane):
-        figure[mate] = figure[rep]
+        viol[blk] = A.max(axis=1)
+        on_plane[blk] = count + np.count_nonzero(np.abs(A, out=A) <= COPLANARITY_TOL, axis=1)
 
     check(
         "vertex_on_plane",
         np.flatnonzero(residual > CONTAINMENT_TOL),
-        f"max residual {residual.max():.3e}" if F else "",
+        f"max residual {residual.max():.3e}" if P else "",
     )
     check("no_antipodal_pair", np.flatnonzero(holds_antipodes))
 
@@ -565,30 +462,40 @@ def validate_complex(fc: FacetComplex) -> ComplexDiagnostics:
         dist_ok &= fc.dists <= 1.0 + CONTAINMENT_TOL
     check("distance_in_range", np.flatnonzero(~dist_ok))
 
-    # Every (n-1)-subset of a facet is a ridge and must appear in exactly
-    # two facets; the count is of offending ridge slots.  Keys rank only
-    # strictly increasing id rows, so every ridge slot of another row offends.
-    ridges = _ridges(fc.vertex_ids, two_m)
+    # The id rows of R u -R: R's, then their mirrors'.  Every (n-1)-subset
+    # of a facet is a ridge and must appear in exactly two facets; the
+    # count is of offending ridge slots.  Keys rank only strictly
+    # increasing id rows, so every ridge slot of another row offends.
+    rows = np.concatenate([ids, _mirror_rows(ids, two_m)])
+    ridges = _ridges(rows, two_m)
     if not unsorted.any() and _all_keys_paired(ridges):
         bad_ridges = np.empty(0, dtype=np.int64)
     else:
         _, inverse, counts = np.unique(ridges, return_inverse=True, return_counts=True)
         bad = counts[inverse] != 2
-        bad.reshape(n, F)[:, unsorted] = True
+        bad.reshape(n, 2 * P)[:, :P][:, unsorted] = True
         bad_ridges = np.flatnonzero(bad)
+    del ridges
     check(
         "ridge_shared_twice",
-        np.unique(bad_ridges % F),
+        np.unique(bad_ridges % P),
         f"{bad_ridges.size} ridge slots unpaired or in an unsorted row" if bad_ridges.size else "",
         bad_ridges.size,
     )
 
     # Row i + m must be the exact negation of row i (the sweep visits only
-    # the first m rows), and facets must pair up antipodally with negated
-    # normals.  From symmetric_hull every pair holds one synthesized mirror
-    # (see the docstring), so its normals agree exactly.
+    # the first m rows), and the 2P facets of R u -R must be distinct: a
+    # row listed twice, or a row whose mirror is also a row, repeats a key.
     antipodal = np.array_equal(fc.vertices[m:], -fc.vertices[:m])
-    bad = np.flatnonzero((partner < 0) | (flip > CONTAINMENT_TOL))
+    keys = _row_keys(rows, two_m)
+    del rows
+    s = np.sort(keys)
+    if np.all(s[1:] != s[:-1]):
+        bad = np.empty(0, dtype=np.int64)
+    else:
+        _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+        repeated = counts[inverse] > 1
+        bad = np.flatnonzero(repeated[:P] | repeated[P:])
     checks.append(
         CheckResult(
             "central_symmetry",
@@ -602,19 +509,19 @@ def validate_complex(fc: FacetComplex) -> ComplexDiagnostics:
     check(
         "containment",
         np.flatnonzero(viol > CONTAINMENT_TOL),
-        f"max slack {viol.max():.3e}" if F else "",
+        f"max slack {viol.max():.3e}" if P else "",
     )
     check(
         "simplicial",
         np.flatnonzero(on_plane > n),
-        f"up to {on_plane.max()} points on one facet plane" if F else "",
+        f"up to {on_plane.max()} points on one facet plane" if P else "",
     )
 
     total = float(np.sum(fc.dists * fc.volumes))
     checks.append(
         CheckResult(
             "positive_measure",
-            F > 0 and bool(np.all(fc.volumes > 0.0)) and total > 0.0,
+            P > 0 and bool(np.all(fc.volumes > 0.0)) and total > 0.0,
             detail=f"sum dist*vol = {total:.6e}",
         )
     )
@@ -633,12 +540,14 @@ def dump_off_like(fc: FacetComplex) -> str:
     """Plain-text dump: header 'n m facet_count', coordinate rows, facet rows.
 
     Coordinates are the 2m symmetrized points with 17 significant digits;
-    facet rows list vertex ids into that table.
+    facet rows list vertex ids into that table: the complex's rows, then
+    their mirror rows.
     """
     m = fc.num_points
     lines = [f"{fc.n} {m} {fc.facet_count}"]
     for row in fc.vertices:
         lines.append(" ".join(f"{x:.17g}" for x in row))
-    for row in fc.vertex_ids:
-        lines.append(" ".join(str(int(i)) for i in row))
+    for rows in (fc.vertex_ids, _mirror_rows(fc.vertex_ids, 2 * m)):
+        for row in rows:
+            lines.append(" ".join(str(int(i)) for i in row))
     return "\n".join(lines) + "\n"

@@ -15,11 +15,11 @@ standard simplex formula
 s = sum_k v_k, which reduces to the scalar decomposition on the trace.
 
 The facets of the symmetric body come in antipodal pairs F, -F whose cones
-have the same volume, cross sum and second-moment matrix.  The facet pass
-of :func:`isohull.hull.symmetric_hull` stores the cross sums and the cone
-second-moment sum on the complex; the volume and the mean square are
-doubled sums over one facet per pair (:meth:`FacetComplex.pairs`).  A
-complex whose facets do not pair raises :class:`InvalidComplexError` here.
+have the same volume, cross sum and second-moment matrix, and a
+:class:`FacetComplex` holds one row per pair.  The facet pass of
+:func:`isohull.hull.symmetric_hull` stores the cross sums and the cone
+second-moment sum on the complex; the volume and the mean square are sums
+over every row, doubled.
 
 A Monte Carlo oracle (rejection volume for n <= 5, exact in-polytope
 samples from :func:`sample_in_polytope` for the moments) provides an
@@ -61,12 +61,12 @@ class UnitVertexError(ValueError):
 
 
 def facet_cross_sums(fc: FacetComplex) -> np.ndarray:
-    """Per facet, sum over ordered pairs i != j of <Q_i, Q_j>; shape (F,).
+    """Per row, sum over ordered pairs i != j of <Q_i, Q_j>; shape (F/2,).
 
-    Stored by :func:`isohull.hull.symmetric_hull`: the mean square and the
-    per-trial maximum both need it.
+    A row's mirror has the same cross sum.  Stored by
+    :func:`isohull.hull.symmetric_hull`: the mean square and the per-trial
+    maximum both need it.
     """
-    fc.pairs()  # raises InvalidComplexError when the facets do not pair
     return fc.cross_sums
 
 
@@ -75,8 +75,7 @@ def polytope_volume(fc: FacetComplex) -> float:
 
     Summed over one facet per antipodal pair and doubled.
     """
-    rep, _ = fc.pairs()
-    vol = 2.0 * float(np.sum(fc.dists[rep] * fc.volumes[rep])) / fc.n
+    vol = 2.0 * float(np.sum(fc.dists * fc.volumes)) / fc.n
     if vol <= 0.0:
         raise InvalidComplexError(f"non-positive volume {vol}")
     return vol
@@ -96,9 +95,8 @@ def polytope_mean_square(fc: FacetComplex) -> float:
             "closed form requires unit vertices; use the covariance path for general vertices"
         )
     n = fc.n
-    rep, _ = fc.pairs()
-    fms = 2.0 / (n + 1) + fc.cross_sums[rep] / (n * (n + 1))
-    contrib = fc.dists[rep] / (n + 2.0) * fc.volumes[rep] * fms
+    fms = 2.0 / (n + 1) + fc.cross_sums / (n * (n + 1))
+    contrib = fc.dists / (n + 2.0) * fc.volumes * fms
     return 2.0 * float(contrib.sum()) / polytope_volume(fc)
 
 
@@ -116,17 +114,22 @@ def polytope_covariance(fc: FacetComplex) -> np.ndarray:
 def sample_in_polytope(fc: FacetComplex, count: int, stream: RngStream) -> np.ndarray:
     """Exact uniform samples from the polytope, shape (count, n).
 
-    Picks a cone with probability proportional to its volume, then places
-    a point by flat Dirichlet weights over the n + 1 cone vertices (the
-    origin's weight is simply dropped).
+    Picks one of the 2P cones, the rows' and then their mirrors', with
+    probability proportional to its volume, then places a point by flat
+    Dirichlet weights over the n + 1 cone vertices (the origin's weight is
+    simply dropped).  A point in a mirror's cone is the negation of one in
+    its row's.
     """
-    cdf = np.cumsum(fc.cone_volumes())
+    cones = fc.cone_volumes()
+    cdf = np.cumsum(np.concatenate([cones, cones]))
     cdf /= cdf[-1]
     idx = np.searchsorted(cdf, stream.uniform(count), side="right")
     idx = np.minimum(idx, len(cdf) - 1)
     e = np.asarray(stream.exponential((count, fc.n + 1)))
     w = e[:, 1:] / e.sum(axis=1, keepdims=True)
-    return np.einsum("ck,cki->ci", w, fc.vertices[fc.vertex_ids[idx]])
+    pts = np.einsum("ck,cki->ci", w, fc.vertices[fc.vertex_ids[idx % cones.size]])
+    pts[idx >= cones.size] *= -1.0
+    return pts
 
 
 @dataclass(frozen=True)
@@ -183,7 +186,9 @@ def mc_moment_oracle(fc: FacetComplex, n_samples: int, stream: RngStream) -> Ora
             dirs = sphere_points(n, take, cs)
             radii = r_max * np.asarray(cs.uniform(take)) ** (1.0 / n)
             pts = dirs * radii[:, None]
-            hits += int(np.all(pts @ fc.normals.T <= fc.dists + _MEMBERSHIP_TOL, axis=1).sum())
+            # |<x, n_F>| <= d_F tests x against F and its mirror -F
+            inside = np.abs(pts @ fc.normals.T) <= fc.dists + _MEMBERSHIP_TOL
+            hits += int(np.all(inside, axis=1).sum())
 
     ms = sum_sq / n_samples
     ms_se = math.sqrt(max(sum_sq2 / n_samples - ms * ms, 0.0) / n_samples)

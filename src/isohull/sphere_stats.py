@@ -200,8 +200,8 @@ def sphere_abs_moment(n: int, q: float) -> float:
     """
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
-    if q < 1:
-        raise ValueError(f"moment order must be >= 1, got {q}")
+    if not (math.isfinite(q) and q >= 1):
+        raise ValueError(f"moment order must be finite and >= 1, got {q}")
     log_val = (
         math.log(2.0)
         + math.lgamma(0.5 * (1.0 + q))
@@ -271,4 +271,8 @@ def bernstein_bound(N: int, eps: float, A: float) -> float:
     """Tail bound 2 exp(-eps^2 N / (8 A^2)) for |sum of N psi_2 variables| > eps N."""
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
+    if not (math.isfinite(eps) and eps >= 0.0):
+        raise ValueError(f"eps must be finite and >= 0, got {eps}")
+    if not (math.isfinite(A) and A > 0.0):
+        raise ValueError(f"A must be finite and > 0, got {A}")
     return 2.0 * math.exp(-(eps * eps) * N / (8.0 * A * A))

@@ -21,6 +21,23 @@ def random_complex(n: int, m: int, seed: int) -> FacetComplex:
     return symmetric_hull(sample_symmetric_cloud(n, m, seed))
 
 
+def implied_facets(fc: FacetComplex) -> dict[str, np.ndarray]:
+    """Every facet of R u -R: the complex's rows, then their mirrors, built row by row.
+
+    A mirror's id row is its row's ids moved by m modulo 2m and sorted; its
+    normal is negated, and its distance, volume and cross sum are the row's.
+    """
+    two_m = fc.vertices.shape[0]
+    mirror = [sorted((int(i) + two_m // 2) % two_m for i in row) for row in fc.vertex_ids]
+    return {
+        "ids": np.concatenate([fc.vertex_ids, np.array(mirror, dtype=np.int64).reshape(-1, fc.n)]),
+        "normals": np.concatenate([fc.normals, -fc.normals]),
+        "dists": np.concatenate([fc.dists, fc.dists]),
+        "volumes": np.concatenate([fc.volumes, fc.volumes]),
+        "cross_sums": np.concatenate([fc.cross_sums, fc.cross_sums]),
+    }
+
+
 def perfbench_module(name: str) -> types.ModuleType:
     """``perfbench/<name>.py`` executed from its path; nothing is imported as a package."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"

@@ -47,7 +47,7 @@ from isohull.sphere_stats import (
     sphere_abs_moment,
     sphere_points,
 )
-from conftest import bounded_condition_map, cross_polytope_complex, random_complex
+from conftest import bounded_condition_map, cross_polytope_complex, implied_facets, random_complex
 from oracles import (
     brute_force_facets,
     double_loop_cross_inner,
@@ -139,7 +139,7 @@ def test_criterion_3_hull_correctness(campaign):
         fc = symmetric_hull(cloud)
         assert validate_complex(fc).passed
         sym = np.vstack([cloud.points, -cloud.points])
-        got = {frozenset(int(v) for v in row) for row in fc.vertex_ids}
+        got = {frozenset(int(v) for v in row) for row in implied_facets(fc)["ids"]}
         assert got == brute_force_facets(sym), f"facet mismatch at (n={n}, m={m})"
         count += 1
     elapsed = time.perf_counter() - t0
@@ -212,9 +212,10 @@ def test_criterion_5_formula_cross_paths(campaign):
     for tag in range(20):
         n = 2 + tag % 6
         fc = random_complex(n, 2 * n + 3, derive_seed(ACCEPT_SEED, [5, tag]))
+        full = implied_facets(fc)
         for f in range(fc.facet_count):
-            expected = double_loop_cross_inner(fc.vertices[fc.vertex_ids[f]])
-            assert abs(fc.cross_sums[f] - expected) <= 1e-12
+            expected = double_loop_cross_inner(fc.vertices[full["ids"][f]])
+            assert abs(full["cross_sums"][f] - expected) <= 1e-12
         ms = polytope_mean_square(fc)
         assert abs(np.trace(polytope_covariance(fc)) - ms) <= 1e-10 * ms
     result, _ = campaign

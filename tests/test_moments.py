@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import math
 import tracemalloc
 
@@ -20,9 +19,9 @@ from isohull.moments import (
     polytope_volume,
     sample_in_polytope,
 )
-from isohull.hull import InvalidComplexError, symmetric_hull, validate_complex
+from isohull.hull import symmetric_hull, validate_complex
 from isohull.sphere_stats import PointCloud, RngStream, sphere_points
-from conftest import cross_polytope_complex, random_complex
+from conftest import cross_polytope_complex, implied_facets, random_complex
 from oracles import (
     GAUSSIAN_4SIGMA_P,
     facet_mean_square,
@@ -99,7 +98,7 @@ class TestPolytopeVolume:
     def test_agrees_with_simplex_determinants(self):
         # independent decomposition: |K| = sum |det[v_1 ... v_n]| / n!
         fc = random_complex(4, 10, 31)
-        dets = np.abs(np.linalg.det(fc.vertices[fc.vertex_ids]))
+        dets = np.abs(np.linalg.det(fc.vertices[implied_facets(fc)["ids"]]))
         alt = float(dets.sum()) / math.factorial(fc.n)
         assert polytope_volume(fc) == pytest.approx(alt, rel=1e-10)
 
@@ -166,7 +165,8 @@ class TestPolytopeCovariance:
 class TestSampling:
     def test_membership(self, octahedron):
         pts = sample_in_polytope(octahedron, 50_000, RngStream(91))
-        slack = pts @ octahedron.normals.T - octahedron.dists[None, :]
+        full = implied_facets(octahedron)
+        slack = pts @ full["normals"].T - full["dists"][None, :]
         assert slack.max() <= 1e-9
         one = sample_in_polytope(octahedron, 1, RngStream(92))
         assert one.shape == (1, 3) and np.abs(one).sum() <= 1.0 + 1e-9
@@ -219,23 +219,29 @@ class TestOracle:
 
 
 def gathered_reference(fc) -> dict:
-    """Every facet quantity over all F facets at once, from one (F, n, n) gather."""
+    """Every facet quantity over all F facets of R u -R at once, from one (F, n, n) gather.
+
+    Per-facet arrays come back for the complex's rows, the first F/2 facets.
+    """
     n = fc.n
-    V = fc.vertices[fc.vertex_ids]
+    full = implied_facets(fc)
+    dists = full["dists"]
+    V = fc.vertices[full["ids"]]
     s = V.sum(axis=1)
     cross = np.einsum("fi,fi->f", s, s) - np.einsum("fki,fki->f", V, V)
-    volumes = np.abs(np.linalg.det(V)) / (math.factorial(n - 1) * fc.dists)
-    volume = float(np.sum(fc.dists * volumes)) / n
+    volumes = np.abs(np.linalg.det(V)) / (math.factorial(n - 1) * dists)
+    volume = float(np.sum(dists * volumes)) / n
     fms = 2.0 / (n + 1) + cross / (n * (n + 1))
-    mean_square = float(np.sum(fc.dists / (n + 2.0) * volumes * fms)) / volume
-    w = fc.dists * volumes / n / ((n + 1.0) * (n + 2.0))
+    mean_square = float(np.sum(dists / (n + 2.0) * volumes * fms)) / volume
+    w = dists * volumes / n / ((n + 1.0) * (n + 2.0))
     second = V.reshape(-1, n).T @ (V * w[:, None, None]).reshape(-1, n) + s.T @ (s * w[:, None])
+    rows = fc.vertex_ids.shape[0]
     return {
-        "volumes": volumes,
+        "volumes": volumes[:rows],
         "volume": volume,
         "mean_square": mean_square,
         "covariance": second / volume,
-        "cross": cross,
+        "cross": cross[:rows],
     }
 
 
@@ -263,19 +269,6 @@ class TestFacetPass:
         cov = polytope_covariance(fc)
         assert np.abs(cov - ref["covariance"]).max() <= 1e-12 * np.abs(cov).max()
         np.testing.assert_allclose(facet_cross_sums(fc), ref["cross"], rtol=1e-12, atol=1e-12 * n)
-
-    def test_unpaired_facets_raise(self, octahedron):
-        mutant = dataclasses.replace(
-            octahedron,
-            vertex_ids=octahedron.vertex_ids[1:],
-            normals=octahedron.normals[1:],
-            dists=octahedron.dists[1:],
-            volumes=octahedron.volumes[1:],
-        )
-        moments = (polytope_volume, polytope_mean_square, polytope_covariance, facet_cross_sums)
-        for moment in moments:
-            with pytest.raises(InvalidComplexError, match="antipodal pairs"):
-                moment(mutant)
 
     def test_no_full_gather_in_validation_and_moments(self):
         # the largest temporary must stay below one (F, n, n) float64 gather
@@ -307,7 +300,7 @@ class TestFacetPass:
         assert polytope_volume(fc) > 0.0
         assert 0.0 < polytope_mean_square(fc) <= 1.0
         assert polytope_covariance(fc).shape == (8, 8)
-        assert facet_cross_sums(fc).shape == (fc.facet_count,)
+        assert facet_cross_sums(fc).shape == (fc.facet_count // 2,)
 
     def test_trial_path_never_gathers(self):
         # a whole trial, qhull included, peaks below one (F, n, n) float64

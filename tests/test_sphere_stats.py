@@ -17,7 +17,7 @@ from isohull.sphere_stats import (
     sphere_abs_moment,
     sphere_points,
 )
-from conftest import cross_polytope_complex, random_complex
+from conftest import cross_polytope_complex, implied_facets, random_complex
 from oracles import GAUSSIAN_4SIGMA_P, double_loop_cross_inner
 
 
@@ -184,6 +184,11 @@ class TestSphereAbsMoment:
         val = sphere_abs_moment(10_000, 10_000)
         assert math.isfinite(val) and 0.0 <= val < 1.0
 
+    @pytest.mark.parametrize("q", [math.nan, math.inf])
+    def test_non_finite_order_raises(self, q):
+        with pytest.raises(ValueError, match="moment order"):
+            sphere_abs_moment(3, q)
+
     def test_stirling_band_fixture(self, calibration):
         band = calibration["stirling_band"]
         assert band["b2"] / band["b1"] <= 4.0
@@ -313,6 +318,24 @@ class TestBernsteinBound:
         assert abs(bernstein_bound(100, 0.5, 1.0) - 2.0 * math.exp(-25.0 / 8.0)) <= 1e-15
         assert bernstein_bound(100, 0.5, 1.0) == pytest.approx(0.08787, abs=5e-6)
 
+    @pytest.mark.parametrize(
+        "eps, A, name",
+        [
+            (math.nan, 1.0, "eps"),
+            (math.inf, 1.0, "eps"),
+            (-0.1, 1.0, "eps"),
+            (0.1, math.nan, "A"),
+            (0.1, math.inf, "A"),
+            (0.1, 0.0, "A"),
+            (0.1, -1.0, "A"),
+        ],
+    )
+    def test_invalid_argument_raises(self, eps, A, name):
+        # a NaN used to come back as the bound, A = 0 as ZeroDivisionError,
+        # and a negative eps or A as the bound at its absolute value
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            bernstein_bound(10, eps, A)
+
     def test_empirical_tails_below_bound(self, calibration):
         from isohull.harness import bernstein_tail_table
 
@@ -334,6 +357,7 @@ class TestSumCrossInner:
     def test_matches_double_loop(self):
         for n, m, seed in ((2, 7, 51), (4, 10, 52), (6, 14, 53)):
             fc = random_complex(n, m, seed)
+            full = implied_facets(fc)
             for f in range(fc.facet_count):
-                expected = double_loop_cross_inner(fc.vertices[fc.vertex_ids[f]])
-                assert abs(fc.cross_sums[f] - expected) <= 1e-12
+                expected = double_loop_cross_inner(fc.vertices[full["ids"][f]])
+                assert abs(full["cross_sums"][f] - expected) <= 1e-12
