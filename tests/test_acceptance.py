@@ -2,7 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  The campaign-backed
 criteria share one default-grid run (session fixture); its wall time is
-asserted inside criterion 7.
+asserted inside criterion 7.  They are marked ``slow``: ``pytest -m "not
+slow"`` runs everything else.
 """
 
 from __future__ import annotations
@@ -126,6 +127,7 @@ def test_criterion_2_oracle_equivalence():
     _report(2, "oracle equivalence")
 
 
+@pytest.mark.slow
 def test_criterion_3_hull_correctness(campaign):
     t0 = time.perf_counter()
     count = 0
@@ -153,6 +155,7 @@ def test_criterion_3_hull_correctness(campaign):
     _report(3, "hull correctness vs oracle and campaign validation")
 
 
+@pytest.mark.slow
 def test_criterion_4_isotropy_identities(campaign):
     # directional second moments after the isotropic transform
     for n, m, tag in ((3, 9, 0), (4, 12, 1), (5, 15, 2)):
@@ -197,6 +200,7 @@ def test_criterion_4_isotropy_identities(campaign):
     _report(4, "isotropy identities")
 
 
+@pytest.mark.slow
 def test_criterion_5_formula_cross_paths(campaign):
     stream = RngStream(ACCEPT_SEED, (5,))
     for i in range(1000):
@@ -249,6 +253,7 @@ def test_criterion_6_sphere_statistics(fixture):
     _report(6, "closed-form sphere statistics")
 
 
+@pytest.mark.slow
 def test_criterion_7_calibrated_campaign(campaign, fixture):
     result, elapsed = campaign
     assert elapsed < 600.0, f"campaign took {elapsed:.0f}s"
@@ -292,6 +297,7 @@ def test_criterion_7_calibrated_campaign(campaign, fixture):
     _report(7, "calibrated campaign checks")
 
 
+@pytest.mark.slow
 def test_criterion_8_determinism(campaign, fixture, tmp_path):
     # full-scale: the acceptance campaign must reproduce the calibration
     # pilot's bytes (different process, same config, same build)

@@ -7,7 +7,10 @@ import math
 import multiprocessing
 import os
 import re
+from concurrent.futures import ProcessPoolExecutor
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from isohull import harness
@@ -211,14 +214,34 @@ class TestRunExperiment:
         assert all(r.seed == derive_seed(2024, [r.n, r.m, r.trial]) for r in res.records)
         assert all(r.oracle_deltas is None for r in res.records)
 
-    def test_byte_identical_across_worker_counts(self, tmp_path):
-        cfg1 = small_config(tmp_path, output_dir=str(tmp_path / "w1"), workers=1)
-        cfg2 = small_config(tmp_path, output_dir=str(tmp_path / "w2"), workers=2)
-        r1 = run_experiment(cfg1)
-        r2 = run_experiment(cfg2)
-        for name in ("records.csv", "records.jsonl"):
-            assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
-        assert r1.summary["cells"] == r2.summary["cells"]
+    def test_byte_identical_across_worker_counts(self, tmp_path, monkeypatch):
+        # grid order is cheapest first, so costliest-first dispatch reverses it
+        grid = ((2, 3), (2, 4), (3, 6), (4, 8))
+        handed = []
+        real_map = ProcessPoolExecutor.map
+
+        def recording_map(self, fn, *iterables, **kwargs):
+            handed.extend(iterables[0])
+            return real_map(self, fn, *iterables, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "map", recording_map)
+        out = tmp_path / "out"
+        names = ("records.csv", "records.jsonl", "summary.json")
+        run_experiment(small_config(tmp_path, grid=grid, trials=3, workers=1))
+        serial = [(out / name).read_bytes() for name in names]
+        assert handed == []
+        run_experiment(small_config(tmp_path, grid=grid, trials=3, workers=2))
+        pooled = [(out / name).read_bytes() for name in names]
+
+        costs = [harness.cell_cost(n, m) for n, m, _, _ in handed]
+        assert costs == sorted(costs, reverse=True)
+        cells = [task[:2] for task in handed]
+        runs = [cell for i, cell in enumerate(cells) if i == 0 or cells[i - 1] != cell]
+        assert runs == [(4, 8), (3, 6), (2, 4), (2, 3)]
+        assert [task[2] for task in handed] == [0, 1, 2] * 4
+        # the summary records the worker count, and nothing else differs
+        assert pooled[:2] == serial[:2]
+        assert pooled[2] == serial[2].replace(b'"workers": 1', b'"workers": 2')
 
     def test_pool_closed_when_a_trial_raises(self, tmp_path, monkeypatch):
         # forked workers inherit the patched run_trial; an error other than
@@ -308,11 +331,12 @@ class TestRunExperiment:
         with caplog.at_level(logging.INFO, logger="isohull"):
             logged = run_experiment(small_config(tmp_path))
         lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("cell ")]
+        # the costlier cell (3, 6) is dispatched, and so logged, first
         assert len(lines) == 2
         assert re.fullmatch(
-            r"cell \(n=2, m=4\) done: 5/10 trials, [0-9.]+ s elapsed, ETA [0-9.]+ s", lines[0]
+            r"cell \(n=3, m=6\) done: 5/10 trials, [0-9.]+ s elapsed, ETA [0-9.]+ s", lines[0]
         )
-        assert lines[1].startswith("cell (n=3, m=6) done: 10/10 trials,")
+        assert lines[1].startswith("cell (n=2, m=4) done: 10/10 trials,")
         assert lines[1].endswith("ETA 0.0 s")
         # timing goes to the log only
         assert [(out / name).read_bytes() for name in names] == quiet_bytes
@@ -335,6 +359,72 @@ class TestRunExperiment:
             assert c["trials"] == 5
             assert c["stats"]["l_k"]["min"] > 0.0
         assert (tmp_path / "out" / "summary.json").exists()
+
+
+# Serial milliseconds per trial of each default-grid cell (medians of 4
+# trials, one process, 2-core x86-64 machine; the same order of cells as
+# default_grid()).
+MEASURED_TRIAL_MS = {
+    (2, 3): 0.68, (2, 4): 0.65, (2, 6): 0.74, (2, 16): 0.72,
+    (3, 5): 0.69, (3, 6): 0.73, (3, 9): 0.71, (3, 24): 0.83,
+    (4, 6): 0.74, (4, 8): 0.75, (4, 12): 0.83, (4, 32): 1.34,
+    (5, 8): 1.05, (5, 10): 1.46, (5, 15): 1.45, (5, 40): 4.13,
+    (6, 9): 1.49, (6, 12): 2.12, (6, 18): 3.73, (6, 48): 18.18,
+    (7, 11): 3.93, (7, 14): 5.29, (7, 21): 16.85, (7, 56): 129.81,
+    (8, 12): 7.20, (8, 16): 19.62, (8, 24): 78.39, (8, 64): 924.29,
+}
+
+
+def replayed_etas(monkeypatch, caplog, seconds: dict, trials: int = 2) -> list[tuple[float, float]]:
+    """(logged ETA, time actually left) of each cell line of a serial campaign over
+    ``seconds``' cells in which a trial of cell c takes ``seconds[c]`` on a fake clock."""
+    clock = [0.0]
+
+    def fake_trial(task):
+        n, m, trial, seed = task
+        clock[0] += seconds[(n, m)]
+        return ("failed", {"n": n, "m": m, "trial": trial, "seed": seed})
+
+    monkeypatch.setattr(harness, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+    monkeypatch.setattr(harness, "_trial_task", fake_trial)
+    with caplog.at_level(logging.INFO, logger="isohull"):
+        run_experiment(ExperimentConfig(grid=tuple(seconds), trials=trials))
+    pattern = r"cell \(n=(\d+), m=(\d+)\) done: .* ETA ([0-9.]+) s"
+    etas, left = [], clock[0]
+    for match in filter(None, (re.fullmatch(pattern, r.getMessage()) for r in caplog.records)):
+        left -= seconds[(int(match[1]), int(match[2]))] * trials
+        etas.append((float(match[3]), left))
+    return etas
+
+
+class TestCostOrder:
+    def test_three_costliest_default_cells_rank_in_order(self):
+        ranked = sorted(default_grid(), key=lambda cell: -harness.cell_cost(*cell))
+        assert ranked[:3] == [(8, 64), (7, 56), (8, 24)]
+
+    def test_eta_is_exact_when_time_follows_the_key(self, monkeypatch, caplog):
+        seconds = {cell: 3e-5 * harness.cell_cost(*cell) for cell in default_grid()}
+        etas = replayed_etas(monkeypatch, caplog, seconds)
+        assert len(etas) == 28
+        assert etas[-1] == (0.0, pytest.approx(0.0, abs=1e-6))
+        for eta, left in etas:
+            assert eta == pytest.approx(left, abs=0.051)
+
+    def test_eta_error_is_bounded_by_the_spread_of_time_per_key(self, monkeypatch, caplog):
+        # each cell runs between 1 and 3 times slower than its key says
+        rng = np.random.default_rng(5)
+        seconds = {
+            cell: 1e-4 * harness.cell_cost(*cell) * rng.uniform(1.0, 3.0) for cell in default_grid()
+        }
+        for eta, left in replayed_etas(monkeypatch, caplog, seconds)[:-1]:
+            assert left / 3 - 0.05 <= eta <= 3 * left + 0.05
+
+    def test_eta_of_measured_default_grid_costs_within_2x(self, monkeypatch, caplog):
+        # measured milliseconds replayed as seconds, so the 0.1 s log
+        # resolution does not round the tail's ETAs away
+        etas = replayed_etas(monkeypatch, caplog, MEASURED_TRIAL_MS)
+        for eta, left in etas[:-1]:
+            assert left / 2 <= eta <= 2 * left
 
 
 class TestRecordDigests:
