@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .calibration import fixture_path, load_fixture, run_calibration, save_fixture
 from .harness import (
     ConfigError,
     EmitError,
@@ -29,14 +30,10 @@ from .harness import (
     check_inradius_bound,
     check_isotropy_threshold,
     check_second_moment_bound,
-    fixture_path,
-    load_fixture,
     records_from_csv,
     records_from_jsonl,
-    run_calibration,
     run_experiment,
     run_trial,
-    save_fixture,
 )
 from .hull import (
     DegenerateCloudError,

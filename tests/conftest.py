@@ -66,6 +66,6 @@ def square() -> FacetComplex:
 
 @pytest.fixture(scope="session")
 def calibration() -> dict:
-    from isohull.harness import load_fixture
+    from isohull.calibration import load_fixture
 
     return load_fixture()

@@ -16,18 +16,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from isohull.calibration import (
+    bernstein_tail_table,
+    build_fingerprint,
+    diff_record_digests,
+    load_fixture,
+    psi2_sphere_estimates,
+    record_digests,
+)
 from isohull.harness import (
     default_grid,
     check_inradius_bound,
     check_isotropy_threshold,
     check_second_moment_bound,
-    bernstein_tail_table,
-    build_fingerprint,
     derive_seed,
-    diff_record_digests,
-    load_fixture,
-    psi2_sphere_estimates,
-    record_digests,
     run_experiment,
     ExperimentConfig,
 )

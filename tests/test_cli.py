@@ -110,6 +110,18 @@ class TestTrial:
         assert code == EXIT_OK
         assert "oracle_deltas" in json.loads(out)
 
+    @pytest.mark.parametrize("samples", ["1", "2"])
+    def test_zero_standard_errors_give_finite_deltas(self, capsys, samples):
+        # one sample has a zero mean-square standard error; two rejection
+        # draws that both hit have a zero volume standard error
+        code, out, _ = run_main(
+            capsys, "trial", "--n", "3", "--m", "6", "--seed", "1", "--oracle-samples", samples
+        )
+        assert code == EXIT_OK
+        deltas = json.loads(out)["oracle_deltas"]
+        assert set(deltas) == {"mean_square", "covariance_max", "volume"}
+        assert all(abs(v) < float("inf") for v in deltas.values())
+
 
 # config cases that must be one-line config errors, by test id
 MALFORMED_CONFIGS = {

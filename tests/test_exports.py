@@ -25,6 +25,23 @@ def test_every_exported_name_is_an_attribute(name):
     assert [n for n in exported if not hasattr(module, n)] == []
 
 
+# Each module imports only modules listed before it, so harness, which the
+# benchmark and every campaign worker import, stays free of calibration.
+LAYERS = ["sphere_stats", "hull", "moments", "isotropy", "harness", "calibration", "cli"]
+
+
+def test_modules_import_only_earlier_layers():
+    src = Path(isohull.__file__).parent
+    assert sorted(LAYERS) == sorted(p.stem for p in src.glob("*.py") if p.stem != "__init__")
+    for i, name in enumerate(LAYERS):
+        imported = {
+            node.module.split(".")[0]
+            for node in ast.walk(ast.parse((src / f"{name}.py").read_text()))
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        }
+        assert imported <= set(LAYERS[:i]), (name, sorted(imported - set(LAYERS[:i])))
+
+
 def test_every_top_level_export_has_a_caller_in_src():
     # a name the package exports but never reads belongs in tests/oracles.py
     used: set[str] = set()

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from isohull import harness
+from isohull.calibration import diff_record_digests, record_digests, save_fixture
 from isohull.harness import (
     CSV_COLUMNS,
     ConfigError,
@@ -27,14 +28,11 @@ from isohull.harness import (
     default_alpha,
     default_grid,
     derive_seed,
-    diff_record_digests,
     emit_records,
     records_from_csv,
-    record_digests,
     records_from_jsonl,
     run_experiment,
     run_trial,
-    save_fixture,
 )
 from isohull.hull import CheckResult, ComplexDiagnostics, InvalidComplexError, symmetric_hull
 from isohull.isotropy import NotSPDError
@@ -258,6 +256,28 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="injected failure"):
             run_experiment(small_config(tmp_path, workers=2))
         assert multiprocessing.active_children() == []
+
+    def test_pool_closed_when_the_consumer_raises(self, tmp_path, monkeypatch):
+        # the per-cell progress line is logged while outcomes are consumed
+        monkeypatch.setattr(harness.log, "info", injected_failure)
+        with pytest.raises(InvalidComplexError, match="injected failure") as info:
+            run_experiment(small_config(tmp_path, workers=2))
+        # info holds the campaign's frame, so nothing is freed before this
+        assert multiprocessing.active_children() == [], info
+
+    def test_cell_whose_every_trial_failed_has_a_counts_row(self, tmp_path, monkeypatch):
+        real = harness.isotropy_constant
+
+        def failing(volume, cov):
+            if cov.shape == (2, 2):
+                raise NotSPDError("injected failure")
+            return real(volume, cov)
+
+        monkeypatch.setattr(harness, "isotropy_constant", failing)
+        cells = run_experiment(small_config(tmp_path)).summary["cells"]
+        assert cells[0] == {"n": 2, "m": 4, "trials": 0, "failures": 5}
+        assert (cells[1]["n"], cells[1]["m"], cells[1]["trials"]) == (3, 6, 5)
+        assert cells[1]["l_k_max"] > 0.0
 
     def test_failing_stage_becomes_a_failure_row(self, tmp_path, monkeypatch):
         # forked workers inherit the patched isotropy_constant; it fails on
@@ -486,6 +506,18 @@ class TestChecks:
         tiny_threshold = min(r.l_k for r in check_records) * 0.99
         tiny = check_isotropy_threshold(check_records, tiny_threshold)
         assert all(cell["fraction"] == 0.0 for cell in tiny)
+
+    @pytest.mark.parametrize(
+        "check, args",
+        [
+            (check_inradius_bound, ()),
+            (check_second_moment_bound, ()),
+            (check_isotropy_threshold, (1.0,)),
+        ],
+    )
+    def test_empty_record_set_is_rejected(self, check, args):
+        with pytest.raises(ValueError, match="^no records$"):
+            check([], *args)
 
     @pytest.mark.parametrize("c_star", [math.nan, math.inf, 0.0, -1.0])
     def test_threshold_outside_open_half_line_raises(self, check_records, c_star):

@@ -295,7 +295,7 @@ class TestPsi2Norm:
             psi2_norm_estimate(np.array([0.5, bad, 1.0]))
 
     def test_fitted_bound_fixture(self, calibration):
-        from isohull.harness import psi2_sphere_estimates
+        from isohull.calibration import psi2_sphere_estimates
 
         a_hat = calibration["psi2"]["a_hat"]
         estimates = psi2_sphere_estimates()
@@ -337,7 +337,7 @@ class TestBernsteinBound:
             bernstein_bound(10, eps, A)
 
     def test_empirical_tails_below_bound(self, calibration):
-        from isohull.harness import bernstein_tail_table
+        from isohull.calibration import bernstein_tail_table
 
         a_hat = calibration["psi2"]["a_hat"]
         rows = bernstein_tail_table(a_hat)
