@@ -175,8 +175,17 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    # the fixture's directory is made, and the path checked, before the
+    # calibration runs, so a bad --out costs no campaign
+    path = Path(args.out) if args.out is not None else fixture_path()
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise EmitError(f"cannot create fixture directory {path.parent}: {exc}") from exc
+    if path.is_dir():
+        raise EmitError(f"cannot write fixture {path}: it is a directory")
     fixture = run_calibration(args.workers)
-    path = save_fixture(fixture, args.out)
+    path = save_fixture(fixture, path)
     _emit({"fixture": str(path), "a_hat": fixture["psi2"]["a_hat"],
            "c_star": fixture["campaign"]["c_star"]})
     return EXIT_OK

@@ -521,9 +521,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     and an ETA that assumes the trials still to run cost what their keys
     predict at the rate the finished ones ran.  Individual trial
     failures are collected, not fatal; each failure row names the stage
-    that raised.
+    that raised.  ``output_dir`` is created before any trial is dispatched,
+    and :class:`EmitError` is raised there when it cannot be.
     """
     config.validate()
+    if config.output_dir is not None:
+        try:
+            Path(config.output_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise EmitError(f"cannot create output directory {config.output_dir}: {exc}") from exc
     cells = sorted(config.grid, key=lambda cell: -cell_cost(*cell))
     tasks = [
         (n, m, t, derive_seed(config.master_seed, [n, m, t]))

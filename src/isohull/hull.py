@@ -9,8 +9,8 @@ fraction of the cost.
 
 K is centrally symmetric, so its facets come in antipodal pairs F, -F, and
 qhull builds only about half of them.  Its input is the 2m points plus one
-apex a = -R r e_1, with r the largest l1 norm of a point and R =
-``APEX_REACH``; qhull returns the facets of conv(K, a).  A returned row
+apex a = -R r d, with r the largest l1 norm of a point, R = ``APEX_REACH``
+and d a unit axis; qhull returns the facets of conv(K, a).  A returned row
 without the apex id 2m spans a supporting hyperplane of K through n of its
 vertices, so it is a facet of K.  A facet of K with outward normal u and
 distance d is a facet of conv(K, a) exactly when <u, a> < d, and since
@@ -18,10 +18,23 @@ distance d is a facet of conv(K, a) exactly when <u, a> < d, and since
 a at least d inside its plane.  The complex keeps one row per pair: the
 member of smaller key, with its own qhull plane or its returned partner's
 negated one.  The other member is implied: ids (ids + m) mod 2m, the
-exact negated normal and the same distance.  At (n, m) = (8, 64) qhull
-then returns about 0.73 F rows in place of F.  R = 100 is the fastest of
-10, 30, 100 and 300 there; a farther apex gains nothing, since qhull's
-roundoff grows with the largest coordinate.
+exact negated normal and the same distance.
+
+The rows qhull returns beyond those facets are the cones from a over the
+silhouette of K seen from a, and none is a facet of K; how many there are
+depends on the direction d.  d is a local maximiser of the fourth moment
+sum_i <P_i, d>^4 of the m base points, reached by ``_AXIS_STEPS`` = 10
+power steps d <- sum_i <P_i, d>^3 P_i / norm from e_1, in fixed-order
+einsums and elementwise operations only (no BLAS, no convergence test), so
+its bits depend on neither the OpenBLAS core nor a tolerance; it costs
+about 85 us a trial.  On perfbench's 22 reference (8, 64) clouds qhull
+then returns 0.96 of the rows the e_1 apex gives (fewer on every cloud,
+and about 12% fewer cone rows), about 0.71 F rows in place of F; at (8, 24)
+it is 0.92 and at (7, 56) 0.97.  Principal and l1 axes also cut rows, but
+fewer.  Along d the count is flat beyond R = 100 (a mean of 97.8k, 97.1k and
+96.9k rows at R = 30, 100 and 1000 over six of those clouds), and a
+farther apex gains nothing, since qhull's roundoff grows with the
+largest coordinate.
 
 qhull is called through scipy's private ``scipy.spatial._qhull._Qhull``,
 with the steps of ``ConvexHull.__init__`` except its total volume and
@@ -64,6 +77,7 @@ not positive-definite is ``NotSPDError`` from the one SPD gate,
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -103,6 +117,10 @@ _BLOCK_FLOATS = 1 << 14
 # The apex's distance from the origin in units of the largest l1 norm of a
 # point (module docstring).
 APEX_REACH = 100.0
+
+# Power steps from e_1 towards a local maximiser of sum_i <P_i, d>^4, the
+# apex axis (module docstring).  Fixed, so the axis bits are too.
+_AXIS_STEPS = 10
 
 
 def facet_blocks(count: int, width: int) -> Iterator[slice]:
@@ -171,21 +189,39 @@ def _mirror_rows(vertex_ids: np.ndarray, id_bound: int) -> np.ndarray:
     return np.sort((vertex_ids + id_bound // 2) % id_bound, axis=1)
 
 
+def _apex_axis(base: np.ndarray) -> np.ndarray:
+    """Unit d after ``_AXIS_STEPS`` steps d <- sum_i p_i^3 P_i / norm, p = base d, from e_1.
+
+    Each step raises sum_i <P_i, d>^4 (its gradient is 4 sum_i p_i^3 P_i,
+    and <sum_i p_i^3 P_i, d> = sum_i p_i^4 > 0 on a spanning cloud).  Only
+    fixed-order einsums and elementwise operations run, so the bits of d
+    depend on no BLAS core and no tolerance.
+    """
+    cols = np.ascontiguousarray(base.T)  # both products then run along rows
+    d = np.zeros(base.shape[1])
+    d[0] = 1.0
+    for _ in range(_AXIS_STEPS):
+        p = np.einsum("ij,j->i", base, d)
+        d = np.einsum("ji,i->j", cols, p * p * p)
+        d /= np.sqrt(np.einsum("j,j->", d, d))
+    return d
+
+
 def _facet_table(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Id rows, normals and distances of one facet per antipodal pair of conv(sym).
 
-    qhull runs over the 2m rows of ``sym`` and the apex -APEX_REACH * r * e_1
-    (id 2m), and each pair is read from a facet of it that qhull returned;
-    see the module docstring.  Each row is the member of its pair with the
+    qhull runs over the 2m rows of ``sym`` and the apex -APEX_REACH * r * d
+    (id 2m), d the fourth-moment axis of the base rows ``sym[:m]``, and
+    each pair is read from a facet of it that qhull returned; see the
+    module docstring.  Each row is the member of its pair with the
     smaller key, and rows are in key order.  Raises
     :class:`DegenerateFacetError` when qhull fails.
     """
     N, n = sym.shape
-    apex = np.zeros((1, n))
-    apex[0, 0] = -APEX_REACH * np.abs(sym).sum(axis=1).max()
+    apex = -APEX_REACH * np.abs(sym).sum(axis=1).max() * _apex_axis(sym[: N // 2])
     # ConvexHull's steps without its total volume and area (module docstring)
     try:
-        qh = _Qhull(b"i", np.concatenate([sym, apex]), b"Q0", required_options=b"Qt")
+        qh = _Qhull(b"i", np.vstack([sym, apex]), b"Q0", required_options=b"Qt")
         try:
             qh.triangulate()
             simplices, _, equations, _, _ = qh.get_simplex_facet_array()
@@ -316,17 +352,21 @@ class ComplexDiagnostics:
         }
 
 
+@functools.lru_cache(maxsize=64)
 def _weights(id_bound: int, width: int) -> np.ndarray:
     # Row j <= width, column c: C(N - 1 - c, j), the j-subsets of the ids above c.
     # A strictly increasing row of ``width`` ids reads row j only at c >= width - j,
     # where the entry is at most C(N - 1, width); the entries it never reads are 0.
+    # Cached and read-only: every caller shares one table per (id_bound, width).
     if math.comb(id_bound, width) >= 1 << 64:
         raise ValueError(f"rows of {width} ids below {id_bound} have no 64-bit key")
-    return np.array(
+    table = np.array(
         [[math.comb(id_bound - 1 - c, j) if c >= width - j else 0 for c in range(id_bound)]
          for j in range(width + 1)],
         dtype=np.uint64,
     )
+    table.flags.writeable = False
+    return table
 
 
 def _row_keys(rows: np.ndarray, id_bound: int) -> np.ndarray:

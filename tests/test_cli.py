@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import isohull
-from isohull import cli
+from isohull import cli, harness
 from isohull.cli import (
     EXIT_IO,
     EXIT_NUMERICAL,
@@ -33,6 +33,11 @@ from isohull.harness import (
     emit_records,
     run_trial,
 )
+from isohull.hull import InvalidComplexError
+
+
+def injected_failure(*args, **kwargs):
+    raise InvalidComplexError("injected failure")
 
 
 def run_main(capsys, *argv):
@@ -193,6 +198,17 @@ class TestExperiment:
         assert code == EXIT_USAGE
         assert err.startswith("config error:")
         assert "Traceback" not in err
+
+    def test_output_dir_under_a_file_is_io_error_before_any_trial(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_trial_task", injected_failure)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", injected_failure)
+        (tmp_path / "file").write_text("")
+        config = {"grid": [[3, 6], [4, 8]], "trials": 3, "output_dir": str(tmp_path / "file" / "out")}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        code, out, err = run_main(capsys, "experiment", "--config", str(cfg_path))
+        assert code == EXIT_IO
+        assert err.startswith("i/o error: cannot create output directory") and out == ""
 
     def test_every_accepted_config_form_parses(self):
         config = ExperimentConfig.from_json_dict(
@@ -489,6 +505,29 @@ class TestUsage:
         assert code == EXIT_USAGE
         assert err.startswith("config error:") and err.count("\n") == 1
         assert out == ""
+
+    @pytest.mark.parametrize("where", ["under-a-file", "a-directory"])
+    def test_calibrate_checks_its_output_before_any_work(self, capsys, tmp_path, monkeypatch, where):
+        # a fixture path that cannot be written fails before the
+        # calibration, not after it
+        monkeypatch.setattr(cli, "run_calibration", injected_failure)
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "fixture.json" if where == "under-a-file" else tmp_path
+        code, stdout, err = run_main(capsys, "calibrate", "--out", str(out))
+        assert code == EXIT_IO
+        assert err.startswith("i/o error: cannot") and stdout == ""
+
+    def test_calibrate_creates_the_fixture_directory_first(self, capsys, tmp_path, monkeypatch):
+        out = tmp_path / "a" / "b" / "fixture.json"
+
+        def calibration(workers):
+            assert out.parent.is_dir()
+            raise InvalidComplexError("injected failure")
+
+        monkeypatch.setattr(cli, "run_calibration", calibration)
+        code, _, err = run_main(capsys, "calibrate", "--out", str(out))
+        assert code == EXIT_NUMERICAL and "injected failure" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--trials", "--seed"])
     def test_calibrate_takes_no_campaign_flags(self, flag):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import logging
 import math
@@ -8,6 +9,7 @@ import multiprocessing
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -240,6 +242,51 @@ class TestRunExperiment:
         # the summary records the worker count, and nothing else differs
         assert pooled[:2] == serial[:2]
         assert pooled[2] == serial[2].replace(b'"workers": 1', b'"workers": 2')
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_output_dir_under_a_file_fails_before_any_trial(self, tmp_path, monkeypatch, workers):
+        # the directory cannot be made, so no trial's work is thrown away
+        # at the end; nothing is dispatched if it were
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", injected_failure)
+        monkeypatch.setattr(harness, "_trial_task", injected_failure)
+        (tmp_path / "file").write_text("")
+        cfg = small_config(tmp_path, output_dir=str(tmp_path / "file" / "out"), workers=workers)
+        with pytest.raises(EmitError, match="cannot create output directory"):
+            run_experiment(cfg)
+
+    def test_output_dir_is_created_before_any_trial(self, tmp_path, monkeypatch):
+        out = tmp_path / "a" / "b"
+
+        def task(args):
+            assert out.is_dir()
+            return real(args)
+
+        real = harness._trial_task
+        monkeypatch.setattr(harness, "_trial_task", task)
+        run_experiment(small_config(tmp_path, output_dir=str(out), trials=1))
+        assert (out / "records.csv").exists()
+
+    @pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
+    def test_records_do_not_depend_on_the_start_method(self, tmp_path, monkeypatch, method):
+        # workers that start from a fresh interpreter (spawn, forkserver)
+        # inherit no cache or module state of this process; their records
+        # must equal the serial run's byte for byte
+        grid = ((2, 3), (3, 6), (4, 8), (5, 10))
+        names = ("records.csv", "records.jsonl")
+        serial = run_experiment(small_config(tmp_path, grid=grid, trials=2, output_dir=None))
+        src = str(Path(harness.__file__).parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        monkeypatch.setenv("PYTHONPATH", path)
+        context = multiprocessing.get_context(method)
+        monkeypatch.setattr(
+            harness, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=context)
+        )
+        out = tmp_path / method
+        run_experiment(small_config(tmp_path, grid=grid, trials=2, workers=2, output_dir=str(out)))
+        emit_records(serial.records, tmp_path / "serial")
+        for name in names:
+            assert (out / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+        assert multiprocessing.active_children() == []
 
     def test_pool_closed_when_a_trial_raises(self, tmp_path, monkeypatch):
         # forked workers inherit the patched run_trial; an error other than

@@ -3,7 +3,11 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,6 +97,22 @@ class TestRowKeys:
                 rows = np.array(list(itertools.combinations(range(bound), width)))
                 assert np.array_equal(_row_keys(rows, bound), np.arange(rows.shape[0]))
 
+    @pytest.mark.parametrize("bound, width", [(12, 6), (128, 7), (128, 8), (966, 8)])
+    def test_weight_tables_are_shared_and_read_only(self, bound, width):
+        table = hull._weights(bound, width)
+        assert hull._weights(bound, width) is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1
+        uncached = hull._weights.__wrapped__(bound, width)
+        assert np.array_equal(table, uncached)
+        rows = np.array(list(itertools.islice(itertools.combinations(range(bound), width), 50)))
+        rows = np.concatenate([rows, np.arange(bound - width, bound)[None]])
+        keys = np.full(rows.shape[0], math.comb(bound, width) - 1, dtype=np.uint64)
+        for i in range(width):
+            keys -= uncached[width - i].take(rows[:, i])
+        assert np.array_equal(_row_keys(rows, bound), keys)
+
 
 class TestConstruction:
     def test_square(self, square):
@@ -180,6 +200,74 @@ def qhull_rows(monkeypatch) -> list[np.ndarray]:
     return rows
 
 
+def fourth_moment_axis(base: np.ndarray, steps: int = 10) -> np.ndarray:
+    """The apex axis by matrix products: ``steps`` power steps d <- B^T (B d)^3 / norm from e_1."""
+    d = np.eye(base.shape[1])[0]
+    for _ in range(steps):
+        d = base.T @ (base @ d) ** 3
+        d /= np.linalg.norm(d)
+    return d
+
+
+class TestApexAxis:
+    """The apex lies along a local maximiser of the base points' fourth moment."""
+
+    @pytest.mark.parametrize("n, m, seed", [(2, 3, 1), (4, 12, 2), (8, 24, 3), (8, 64, 4)])
+    def test_axis_is_unit_and_raises_the_fourth_moment(self, n, m, seed):
+        base = sample_symmetric_cloud(n, m, seed).points
+        d = hull._apex_axis(base)
+        assert abs(np.linalg.norm(d) - 1.0) <= 1e-15
+        assert np.abs(d - fourth_moment_axis(base)).max() <= 1e-12
+        # each power step raises sum_i <P_i, d>^4, starting from e_1
+        assert np.sum((base @ d) ** 4) >= np.sum(base[:, 0] ** 4)
+
+    def test_axis_ignores_power_of_two_scales(self):
+        base = sample_symmetric_cloud(5, 15, 6).points
+        d = hull._apex_axis(base)
+        for k in (-20, -1, 3, 20):
+            assert np.array_equal(hull._apex_axis(base * 2.0**k), d)
+
+    def test_axis_apex_cuts_qhull_rows_at_8_24(self, monkeypatch):
+        # qhull's rows are the cone facets over the silhouette of K seen from
+        # the apex plus the facets of K it cannot hide; the axis apex sees
+        # a smaller silhouette than e_1's (about 0.92 of the rows on these
+        # clouds), and the complex is the same
+        n, m = 8, 24
+        clouds = [sample_symmetric_cloud(n, m, derive_seed(23, [n, m, t])) for t in range(10)]
+        returned = qhull_rows(monkeypatch)
+        axis = [symmetric_hull(c) for c in clouds]
+        monkeypatch.setattr(hull, "_apex_axis", lambda base: np.eye(base.shape[1])[0])
+        e_1 = [symmetric_hull(c) for c in clouds]
+        counts = [r.shape[0] for r in returned]
+        assert sum(counts[:10]) <= 0.95 * sum(counts[10:])
+        for a, b in zip(axis, e_1):
+            assert np.array_equal(a.vertex_ids, b.vertex_ids)
+            assert np.abs(a.normals - b.normals).max() <= 1e-12
+
+    def test_axis_bits_do_not_depend_on_the_openblas_core(self):
+        # einsum and elementwise steps only: no BLAS call, so another
+        # OpenBLAS kernel leaves every bit of the axis as it is
+        code = (
+            "import numpy as np; from isohull import hull; "
+            "from isohull.sphere_stats import sample_symmetric_cloud; "
+            "print([hull._apex_axis(sample_symmetric_cloud(n, m, 11).points).tobytes().hex() "
+            "for n, m in ((3, 9), (8, 24), (8, 64))])"
+        )
+        src = str(Path(hull.__file__).parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", code],
+                capture_output=True,
+                text=True,
+                check=True,
+                env={**os.environ, "PYTHONPATH": path, **extra},
+            ).stdout
+            for extra in ({}, {"OPENBLAS_CORETYPE": "Haswell"})
+        ]
+        assert outputs[0] == outputs[1] != ""
+
+
 class TestQhullCall:
     """qhull runs as ConvexHull(sym + apex, "Q0") runs it, without its total volume and area."""
 
@@ -225,11 +313,13 @@ class TestQhullCall:
         assert validate_complex(fc).passed
         points, *methods = calls
         assert methods == ["triangulate", "get_simplex_facet_array", "close"]
-        # the 2m points, then the apex -APEX_REACH * (largest l1 norm) * e_1
+        # the 2m points, then the apex -APEX_REACH * (largest l1 norm) * d,
+        # with d the fourth-moment axis of the m base points
         assert points.shape == (23, 5)
         assert np.array_equal(points[:22], fc.vertices)
         reach = hull.APEX_REACH * np.abs(fc.vertices).sum(axis=1).max()
-        assert np.array_equal(points[22], [-reach, 0.0, 0.0, 0.0, 0.0])
+        assert np.array_equal(points[22], -reach * hull._apex_axis(fc.vertices[:11]))
+        assert np.abs(points[22] + reach * fourth_moment_axis(fc.vertices[:11])).max() <= 1e-12 * reach
 
     @pytest.mark.parametrize(
         "error, raised",
@@ -655,7 +745,7 @@ def test_symmetric_hull_holds_one_row_per_pair_at_the_heavy_cell(heavy_hull_peak
 
 
 def test_qhull_returns_under_four_fifths_of_the_facets_at_the_heavy_cell(monkeypatch):
-    # the apex hides all but about 0.73 F of the full hull's facets there
+    # the apex hides all but about 0.71 F of the full hull's facets there
     n, m = 8, 64
     returned = qhull_rows(monkeypatch)
     fc = symmetric_hull(sample_symmetric_cloud(n, m, derive_seed(424242, [n, m, 1])))
