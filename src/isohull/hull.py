@@ -36,14 +36,31 @@ fewer.  Along d the count is flat beyond R = 100 (a mean of 97.8k, 97.1k and
 farther apex gains nothing, since qhull's roundoff grows with the
 largest coordinate.
 
+qhull builds K top-down along d.  The hull starts from the apex and the n
+points highest along d, and the other 2m - n points go in by decreasing
+<p, d> through qhull's incremental mode (``add_points``; scipy adds qhull
+option ``Q11`` there).  A one-shot build picks its own insertion order,
+the furthest outside point of a facet first, so the order of its input
+changes nothing; ``add_points`` follows this one.  A point added far from
+the apex sees only a small region of the hull built so far, so qhull
+makes fewer transient facets on the way; the hull it returns is the
+same.  On perfbench's 22 reference (8, 64) clouds, one fresh process
+each, the resident memory that the build plus qhull's arrays add fell
+from 49.3 to 46.7 MB at the maximum (lower on 22 of 22), and their time
+from a median of 608 to 571 ms (faster on 14 of 22).  The heights are
+einsums, not a BLAS product.  qhull's input row 0 is the apex and row i
+the i-th highest point; only the rows kept after dropping the cones are
+mapped back to point ids.
+
 qhull is called through scipy's private ``scipy.spatial._qhull._Qhull``,
-with the steps of ``ConvexHull.__init__`` except its total volume and
-area (qhull's ``qh_getarea`` over every facet, about 0.1 s of an (8, 64)
-hull, never read here) and its copy of the points.  ``TestQhullCall`` in
-``tests/test_hull.py`` pins the call: the implied facets equal
-``ConvexHull``'s without the apex and the planes agree within 1e-12, ``volume_area`` is
-never called and ``close`` always is, so a scipy release that changes the
-private entry point fails there.
+with the steps of ``ConvexHull(points, incremental=True)`` and its
+``add_points`` except the total volume and area (qhull's ``qh_getarea``
+over every facet, about 0.1 s of an (8, 64) hull, never read here) and
+the copy of the points.  ``TestQhullCall`` in ``tests/test_hull.py`` pins
+the call: the implied facets equal ``ConvexHull``'s without the apex and
+the planes agree within 1e-12, the input is in the order above,
+``volume_area`` is never called and ``close`` always is, so a scipy
+release that changes the private entry point fails there.
 
 Central symmetry, ridge pairing, containment and simpliciality are then
 re-checked post hoc by :func:`validate_complex`, which is independent of
@@ -124,7 +141,7 @@ _AXIS_STEPS = 10
 
 
 def facet_blocks(count: int, width: int) -> Iterator[slice]:
-    """Slices covering ``count`` facets, each with ``width`` floats per facet."""
+    """Slices covering ``count`` rows (facets or samples), each with ``width`` floats per row."""
     step = max(1, _BLOCK_FLOATS // width)
     for lo in range(0, count, step):
         yield slice(lo, lo + step)
@@ -186,7 +203,10 @@ class FacetComplex:
 
 def _mirror_rows(vertex_ids: np.ndarray, id_bound: int) -> np.ndarray:
     """The sorted id row of each facet's antipode: (ids + m) mod 2m, sorted."""
-    return np.sort((vertex_ids + id_bound // 2) % id_bound, axis=1)
+    mirror = vertex_ids + id_bound // 2
+    np.subtract(mirror, id_bound, out=mirror, where=mirror >= id_bound)
+    mirror.sort(axis=1)
+    return mirror
 
 
 def _apex_axis(base: np.ndarray) -> np.ndarray:
@@ -210,19 +230,32 @@ def _apex_axis(base: np.ndarray) -> np.ndarray:
 def _facet_table(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Id rows, normals and distances of one facet per antipodal pair of conv(sym).
 
-    qhull runs over the 2m rows of ``sym`` and the apex -APEX_REACH * r * d
-    (id 2m), d the fourth-moment axis of the base rows ``sym[:m]``, and
-    each pair is read from a facet of it that qhull returned; see the
-    module docstring.  Each row is the member of its pair with the
-    smaller key, and rows are in key order.  Raises
+    qhull builds the hull of the 2m rows of ``sym`` and the apex
+    -APEX_REACH * r * d (id 2m), d the fourth-moment axis of the base rows
+    ``sym[:m]``, top-down along d, and each pair is read from a facet of it
+    that qhull returned; see the module docstring.  Each row is the member
+    of its pair with the smaller key, and rows are in key order.  Raises
     :class:`DegenerateFacetError` when qhull fails.
     """
     N, n = sym.shape
-    apex = -APEX_REACH * np.abs(sym).sum(axis=1).max() * _apex_axis(sym[: N // 2])
+    d = _apex_axis(sym[: N // 2])
+    apex = -APEX_REACH * np.abs(sym).sum(axis=1).max() * d
+    # Top-down along d: the apex and the n points highest along d start the
+    # hull, and the rest go in by decreasing <p, d> (module docstring).
+    # Input row 0 is the apex (id N) and row i is point descending[i - 1].
+    descending = np.argsort(-np.einsum("ij,j->i", sym, d), kind="stable")
+    lookup = np.concatenate([[N], descending]).astype(np.int32)
     # ConvexHull's steps without its total volume and area (module docstring)
     try:
-        qh = _Qhull(b"i", np.vstack([sym, apex]), b"Q0", required_options=b"Qt")
+        qh = _Qhull(
+            b"i",
+            np.vstack([apex, sym.take(descending[:n], axis=0)]),
+            b"Q0",
+            required_options=b"Qt",
+            incremental=True,
+        )
         try:
+            qh.add_points(sym.take(descending[n:], axis=0))
             qh.triangulate()
             simplices, _, equations, _, _ = qh.get_simplex_facet_array()
         finally:
@@ -233,13 +266,16 @@ def _facet_table(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # Rows without the apex are facets of K.  Each is read with its mirror
     # row, and the smaller of the two keys names the pair: a pair qhull
     # returned whole is kept once, from the member of smaller key.  qhull's
-    # arrays are dropped once read: whole copies alive together set the
-    # trial's memory peak.
-    kept = simplices[:, 0] != N
+    # memory and the arrays read from it set a warm process's peak at
+    # (8, 64), so the arrays are dropped once read, and only the kept rows
+    # are mapped back to point ids, in place and in qhull's own int32.
+    kept = simplices[:, 0] != 0
     for col in simplices.T[1:]:
-        kept &= col != N
+        kept &= col != 0
     kept = np.flatnonzero(kept)
-    ids = np.sort(simplices.take(kept, axis=0), axis=1)
+    ids = simplices.take(kept, axis=0)
+    lookup.take(ids, out=ids)
+    ids.sort(axis=1)
     planes = equations.take(kept, axis=0)
     del simplices, equations, kept
     mirror = _mirror_rows(ids, N)
@@ -383,29 +419,32 @@ def _row_keys(rows: np.ndarray, id_bound: int) -> np.ndarray:
     return keys
 
 
-def _ridges(vertex_ids: np.ndarray, id_bound: int) -> np.ndarray:
+def _ridges(vertex_ids: np.ndarray, id_bound: int, out: np.ndarray | None = None) -> np.ndarray:
     """The F * n ridge keys; block k keys every facet without its column k.
 
     A ridge's key, C(N, n-1) - 1 - its rank, is a prefix plus a suffix sum over
     the facet's columns c: sum_{i<k} C(N-1-c_i, n-1-i) + sum_{i>k} C(N-1-c_i, n-i).
+    With ``out``, an (n, F) uint64 array whose rows are each contiguous,
+    block k is written into row k and ``out`` is returned as it is.
     """
     F, n = vertex_ids.shape
     weights = _weights(id_bound, n - 1)
-    after = np.zeros((n, F), dtype=np.uint64)
+    after = np.empty((n, F), dtype=np.uint64) if out is None else out
+    after[n - 1] = 0
     for k in range(n - 1, 0, -1):
         np.add(after[k], weights[n - k].take(vertex_ids[:, k]), out=after[k - 1])
     head = np.zeros(F, dtype=np.uint64)
     for k in range(1, n):
         head += weights[n - k].take(vertex_ids[:, k - 1])
         after[k] += head
-    return after.ravel()
+    return after.ravel() if out is None else out
 
 
 def _all_keys_paired(keys: np.ndarray) -> bool:
-    # Fast verdict on "every key appears exactly twice": sorted, the keys
-    # match in pairs (an odd count cannot) and neighbouring pairs differ.
-    k = np.sort(keys)
-    return np.array_equal(k[0::2], k[1::2]) and bool(np.all(k[1:-1:2] != k[2::2]))
+    # Fast verdict on "every key appears exactly twice": sorted in place, the
+    # keys match in pairs (an odd count cannot) and neighbouring pairs differ.
+    keys.sort()
+    return np.array_equal(keys[0::2], keys[1::2]) and bool(np.all(keys[1:-1:2] != keys[2::2]))
 
 
 def _first(idx: np.ndarray) -> tuple[int, ...]:
@@ -436,15 +475,11 @@ def validate_complex(fc: FacetComplex) -> ComplexDiagnostics:
     The certificate of the boundary of K is then the sweep of R against all
     2m points, ridge closure of R u -R and the distinctness of its facets,
     all read from the id rows, normals and distances alone.
+
+    Beyond a few arrays of P or 2P entries and one block's temporaries, a
+    call holds one (n, 2P) uint64 table, the ridge keys of R u -R; at
+    (8, 64) its extra traced peak is about 1.3 times that table.
     """
-    checks: list[CheckResult] = []
-
-    def check(name: str, bad: np.ndarray, detail: str = "", n_offending: int | None = None):
-        # A check that fails at the row indices ``bad``; ``n_offending``
-        # defaults to their count.
-        count = bad.size if n_offending is None else n_offending
-        checks.append(CheckResult(name, count == 0, _first(bad), int(count), detail))
-
     ids = fc.vertex_ids
     P, n = ids.shape
     two_m = fc.vertices.shape[0]
@@ -464,13 +499,124 @@ def validate_complex(fc: FacetComplex) -> ComplexDiagnostics:
             holds_antipodes |= gap == m
     del cols, gap
 
-    # One sweep over blocks of the row-major inner products G = N B^T of
-    # the normals with the m base points B.  Vertex id i is base point
-    # i % m, negated for i >= m, so the row's own vertices read their plane
-    # residuals from G.  A point and its antipode have slacks G - d and
-    # -G - d, so the larger is |G| - d, and their distances to the plane
-    # are ||G| - d| and |G| + d; these give each row's largest slack and
-    # the number of points on its hyperplane.
+    # The point-side figures are reduced to their reports before the ridge
+    # table is made, so none is held with it.
+    residual, viol, on_plane = _plane_sweep(fc)
+    vertex_on_plane = _result(
+        "vertex_on_plane",
+        np.flatnonzero(residual > CONTAINMENT_TOL),
+        f"max residual {residual.max():.3e}" if P else "",
+    )
+    containment = _result(
+        "containment",
+        np.flatnonzero(viol > CONTAINMENT_TOL),
+        f"max slack {viol.max():.3e}" if P else "",
+    )
+    simplicial = _result(
+        "simplicial",
+        np.flatnonzero(on_plane > n),
+        f"up to {on_plane.max()} points on one facet plane" if P else "",
+    )
+    del residual, viol, on_plane
+
+    dist_ok = fc.dists > 0.0
+    if fc.is_unit():
+        dist_ok &= fc.dists <= 1.0 + CONTAINMENT_TOL
+
+    # The id rows of R u -R: R's, then their mirrors'.  Every (n-1)-subset
+    # of a facet is a ridge and must appear in exactly two facets; the
+    # count is of offending ridge slots.  Keys rank only strictly
+    # increasing id rows, so every ridge slot of another row offends.  One
+    # (n, 2P) table holds the ridge keys of R (columns :P) and of -R, whose
+    # rows are made and keyed a block at a time, so no table of them is
+    # held; the fast verdict sorts it in place, and a failure keys it again.
+    keys = np.empty(2 * P, dtype=np.uint64)
+    keys[:P] = _row_keys(ids, two_m)
+    table = np.empty((n, 2 * P), dtype=np.uint64)
+
+    def ridge_table() -> np.ndarray:
+        _ridges(ids, two_m, out=table[:, :P])
+        for blk in facet_blocks(P, n):
+            mirror = _mirror_rows(ids[blk], two_m)
+            _ridges(mirror, two_m, out=table[:, P:][:, blk])
+            keys[P:][blk] = _row_keys(mirror, two_m)
+        return table.reshape(-1)
+
+    if unsorted.any() or not _all_keys_paired(ridge_table()):
+        _, inverse, counts = np.unique(ridge_table(), return_inverse=True, return_counts=True)
+        bad = counts[inverse] != 2
+        bad.reshape(n, 2 * P)[:, :P][:, unsorted] = True
+        bad_ridges = np.flatnonzero(bad)
+    else:
+        bad_ridges = np.empty(0, dtype=np.int64)
+    del table
+
+    # Row i + m must be the exact negation of row i (the sweep visits only
+    # the first m rows), and the 2P facets of R u -R must be distinct: a
+    # row listed twice, or a row whose mirror is also a row, repeats a key.
+    antipodal = np.array_equal(fc.vertices[m:], -fc.vertices[:m])
+    s = np.sort(keys)
+    if np.all(s[1:] != s[:-1]):
+        repeated = np.empty(0, dtype=np.int64)
+    else:
+        _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+        twice = counts[inverse] > 1
+        repeated = np.flatnonzero(twice[:P] | twice[P:])
+
+    total = float(np.sum(fc.dists * fc.volumes))
+    return ComplexDiagnostics(
+        (
+            vertex_on_plane,
+            _result("no_antipodal_pair", np.flatnonzero(holds_antipodes)),
+            _result("distance_in_range", np.flatnonzero(~dist_ok)),
+            _result(
+                "ridge_shared_twice",
+                np.unique(bad_ridges % P),
+                f"{bad_ridges.size} ridge slots unpaired or in an unsorted row"
+                if bad_ridges.size
+                else "",
+                bad_ridges.size,
+            ),
+            CheckResult(
+                "central_symmetry",
+                antipodal and repeated.size == 0,
+                _first(repeated),
+                int(repeated.size),
+                "" if antipodal else "vertex rows m.. are not the negated rows ..m",
+            ),
+            containment,
+            simplicial,
+            CheckResult(
+                "positive_measure",
+                P > 0 and bool(np.all(fc.volumes > 0.0)) and total > 0.0,
+                detail=f"sum dist*vol = {total:.6e}",
+            ),
+        )
+    )
+
+
+def _result(
+    name: str, bad: np.ndarray, detail: str = "", n_offending: int | None = None
+) -> CheckResult:
+    """A check that fails at the row indices ``bad``; ``n_offending`` defaults to their count."""
+    count = bad.size if n_offending is None else n_offending
+    return CheckResult(name, count == 0, _first(bad), int(count), detail)
+
+
+def _plane_sweep(fc: FacetComplex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's largest vertex residual, largest slack and points on its hyperplane.
+
+    One sweep over blocks of the row-major inner products G = N B^T of the
+    normals with the m base points B.  Vertex id i is base point i % m,
+    negated for i >= m, so the row's own vertices read their plane
+    residuals from G.  A point and its antipode have slacks G - d and
+    -G - d, so the larger is |G| - d, and their distances to the plane are
+    ||G| - d| and |G| + d; these give each row's largest slack and the
+    number of points on its hyperplane.
+    """
+    ids = fc.vertex_ids
+    P = ids.shape[0]
+    m = fc.num_points
     base = fc.vertices[:m]
     residual = np.empty(P)
     viol = np.empty(P)
@@ -489,84 +635,7 @@ def validate_complex(fc: FacetComplex) -> ComplexDiagnostics:
         A -= d
         viol[blk] = A.max(axis=1)
         on_plane[blk] = count + np.count_nonzero(np.abs(A, out=A) <= COPLANARITY_TOL, axis=1)
-
-    check(
-        "vertex_on_plane",
-        np.flatnonzero(residual > CONTAINMENT_TOL),
-        f"max residual {residual.max():.3e}" if P else "",
-    )
-    check("no_antipodal_pair", np.flatnonzero(holds_antipodes))
-
-    dist_ok = fc.dists > 0.0
-    if fc.is_unit():
-        dist_ok &= fc.dists <= 1.0 + CONTAINMENT_TOL
-    check("distance_in_range", np.flatnonzero(~dist_ok))
-
-    # The id rows of R u -R: R's, then their mirrors'.  Every (n-1)-subset
-    # of a facet is a ridge and must appear in exactly two facets; the
-    # count is of offending ridge slots.  Keys rank only strictly
-    # increasing id rows, so every ridge slot of another row offends.
-    rows = np.concatenate([ids, _mirror_rows(ids, two_m)])
-    ridges = _ridges(rows, two_m)
-    if not unsorted.any() and _all_keys_paired(ridges):
-        bad_ridges = np.empty(0, dtype=np.int64)
-    else:
-        _, inverse, counts = np.unique(ridges, return_inverse=True, return_counts=True)
-        bad = counts[inverse] != 2
-        bad.reshape(n, 2 * P)[:, :P][:, unsorted] = True
-        bad_ridges = np.flatnonzero(bad)
-    del ridges
-    check(
-        "ridge_shared_twice",
-        np.unique(bad_ridges % P),
-        f"{bad_ridges.size} ridge slots unpaired or in an unsorted row" if bad_ridges.size else "",
-        bad_ridges.size,
-    )
-
-    # Row i + m must be the exact negation of row i (the sweep visits only
-    # the first m rows), and the 2P facets of R u -R must be distinct: a
-    # row listed twice, or a row whose mirror is also a row, repeats a key.
-    antipodal = np.array_equal(fc.vertices[m:], -fc.vertices[:m])
-    keys = _row_keys(rows, two_m)
-    del rows
-    s = np.sort(keys)
-    if np.all(s[1:] != s[:-1]):
-        bad = np.empty(0, dtype=np.int64)
-    else:
-        _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-        repeated = counts[inverse] > 1
-        bad = np.flatnonzero(repeated[:P] | repeated[P:])
-    checks.append(
-        CheckResult(
-            "central_symmetry",
-            antipodal and bad.size == 0,
-            _first(bad),
-            int(bad.size),
-            "" if antipodal else "vertex rows m.. are not the negated rows ..m",
-        )
-    )
-
-    check(
-        "containment",
-        np.flatnonzero(viol > CONTAINMENT_TOL),
-        f"max slack {viol.max():.3e}" if P else "",
-    )
-    check(
-        "simplicial",
-        np.flatnonzero(on_plane > n),
-        f"up to {on_plane.max()} points on one facet plane" if P else "",
-    )
-
-    total = float(np.sum(fc.dists * fc.volumes))
-    checks.append(
-        CheckResult(
-            "positive_measure",
-            P > 0 and bool(np.all(fc.volumes > 0.0)) and total > 0.0,
-            detail=f"sum dist*vol = {total:.6e}",
-        )
-    )
-
-    return ComplexDiagnostics(tuple(checks))
+    return residual, viol, on_plane
 
 
 def inradius(fc: FacetComplex) -> float:

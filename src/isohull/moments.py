@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hull import FacetComplex, InvalidComplexError
+from .hull import FacetComplex, InvalidComplexError, facet_blocks
 from .sphere_stats import RngStream, ball_volume, sphere_points
 
 __all__ = [
@@ -186,9 +186,12 @@ def mc_moment_oracle(fc: FacetComplex, n_samples: int, stream: RngStream) -> Ora
             dirs = sphere_points(n, take, cs)
             radii = r_max * np.asarray(cs.uniform(take)) ** (1.0 / n)
             pts = dirs * radii[:, None]
-            # |<x, n_F>| <= d_F tests x against F and its mirror -F
-            inside = np.abs(pts @ fc.normals.T) <= fc.dists + _MEMBERSHIP_TOL
-            hits += int(np.all(inside, axis=1).sum())
+            # |<x, n_F>| <= d_F tests x against F and its mirror -F; blocks
+            # of samples keep the (samples, P) products to one block's worth
+            bound = fc.dists + _MEMBERSHIP_TOL
+            for rows in facet_blocks(take, bound.size):
+                G = pts[rows] @ fc.normals.T
+                hits += int(np.count_nonzero((np.abs(G, out=G) <= bound).all(axis=1)))
 
     ms = sum_sq / n_samples
     ms_se = math.sqrt(max(sum_sq2 / n_samples - ms * ms, 0.0) / n_samples)

@@ -180,17 +180,26 @@ def full_hull_ids(sym: np.ndarray) -> np.ndarray:
     return ids[np.lexsort(ids.T[::-1])]  # key order is the lexicographic order of id rows
 
 
-def qhull_rows(monkeypatch) -> list[np.ndarray]:
-    """Wrap hull._Qhull; collect the simplices array of every hull it returns."""
+def qhull_rows(monkeypatch) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Wrap hull._Qhull; collect the input points and the simplices array of every hull.
+
+    The input points are in qhull's order, the apex first, and the
+    simplices index them.
+    """
     rows, real = [], hull._Qhull
 
     class Recording:
-        def __init__(self, *args, **kwargs):
-            self._qh = real(*args, **kwargs)
+        def __init__(self, mode, points, *args, **kwargs):
+            self._points = [points]
+            self._qh = real(mode, points, *args, **kwargs)
+
+        def add_points(self, points):
+            self._points.append(points)
+            self._qh.add_points(points)
 
         def get_simplex_facet_array(self):
             arrays = self._qh.get_simplex_facet_array()
-            rows.append(arrays[0])
+            rows.append((np.vstack(self._points), arrays[0]))
             return arrays
 
         def __getattr__(self, name):
@@ -238,7 +247,7 @@ class TestApexAxis:
         axis = [symmetric_hull(c) for c in clouds]
         monkeypatch.setattr(hull, "_apex_axis", lambda base: np.eye(base.shape[1])[0])
         e_1 = [symmetric_hull(c) for c in clouds]
-        counts = [r.shape[0] for r in returned]
+        counts = [r.shape[0] for _, r in returned]
         assert sum(counts[:10]) <= 0.95 * sum(counts[10:])
         for a, b in zip(axis, e_1):
             assert np.array_equal(a.vertex_ids, b.vertex_ids)
@@ -286,13 +295,20 @@ class TestQhullCall:
 
     @staticmethod
     def proxy_qhull(monkeypatch, failing: str = "", error: Exception | None = None) -> list:
-        """Wrap hull._Qhull; list its input, then the methods called; ``failing`` raises ``error``."""
+        """Wrap hull._Qhull; list its input and the points added, then the methods called.
+
+        ``failing`` raises ``error``.
+        """
         calls, real = [], hull._Qhull
 
         class Proxy:
             def __init__(self, mode, points, *args, **kwargs):
                 calls.append(points.copy())
                 self._qh = real(mode, points, *args, **kwargs)
+
+            def add_points(self, points, *args):
+                calls.insert(1, points.copy())
+                return self.__getattr__("add_points")(points, *args)
 
             def __getattr__(self, name):
                 calls.append(name)
@@ -311,15 +327,19 @@ class TestQhullCall:
         calls = self.proxy_qhull(monkeypatch)
         fc = random_complex(5, 11, 3)
         assert validate_complex(fc).passed
-        points, *methods = calls
-        assert methods == ["triangulate", "get_simplex_facet_array", "close"]
-        # the 2m points, then the apex -APEX_REACH * (largest l1 norm) * d,
-        # with d the fourth-moment axis of the m base points
-        assert points.shape == (23, 5)
-        assert np.array_equal(points[:22], fc.vertices)
+        start, added, *methods = calls
+        assert methods == ["add_points", "triangulate", "get_simplex_facet_array", "close"]
+        # top-down: the apex -APEX_REACH * (largest l1 norm) * d, with d the
+        # fourth-moment axis of the m base points, and the n points highest
+        # along d; then the other 2m - n points by decreasing <p, d>
+        d = hull._apex_axis(fc.vertices[:11])
         reach = hull.APEX_REACH * np.abs(fc.vertices).sum(axis=1).max()
-        assert np.array_equal(points[22], -reach * hull._apex_axis(fc.vertices[:11]))
-        assert np.abs(points[22] + reach * fourth_moment_axis(fc.vertices[:11])).max() <= 1e-12 * reach
+        assert start.shape == (6, 5) and added.shape == (17, 5)
+        assert np.array_equal(start[0], -reach * d)
+        assert np.abs(start[0] + reach * fourth_moment_axis(fc.vertices[:11])).max() <= 1e-12 * reach
+        points = np.vstack([start[1:], added])
+        assert np.all(np.diff(points @ d) < 0)
+        assert np.array_equal(np.unique(points, axis=0), np.unique(fc.vertices, axis=0))
 
     @pytest.mark.parametrize(
         "error, raised",
@@ -329,7 +349,7 @@ class TestQhullCall:
         calls = self.proxy_qhull(monkeypatch, "get_simplex_facet_array", error)
         with pytest.raises(raised, match="injected"):
             random_complex(4, 9, 3)
-        assert calls[1:] == ["triangulate", "get_simplex_facet_array", "close"]
+        assert calls[2:] == ["add_points", "triangulate", "get_simplex_facet_array", "close"]
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(
@@ -364,7 +384,12 @@ class TestQhullCall:
         returned = qhull_rows(monkeypatch)
         monkeypatch.setattr(hull, "APEX_REACH", 0.5)
         near = symmetric_hull(cloud)
-        kept = [frozenset(map(int, r)) for r in returned[0] if 30 not in r]
+        # qhull's input rows back to point ids; the apex is input row 0
+        points, rows = returned[0]
+        point_id = {p.tobytes(): i for i, p in enumerate(cloud.symmetrized())}
+        ids = np.array([point_id.get(p.tobytes(), 30) for p in points])
+        assert ids[0] == 30 and sorted(ids[1:]) == list(range(30))
+        kept = [frozenset(map(int, ids[r])) for r in rows if 0 not in r]
         whole = set(kept) & {frozenset((i + 15) % 30 for i in r) for r in kept}
         assert len(kept) == len(set(kept)) > 0.75 * fc.facet_count
         assert len(whole) > 0.5 * fc.facet_count
@@ -551,11 +576,11 @@ class TestValidation:
 
     def test_coplanar_point_fails_only_simplicial(self):
         # (0.5, 0.5) lies on the edge from (1, 0) to (0, 1): three points on
-        # one facet line, which qhull merges and triangulates
+        # one facet line, which qhull splits in two there
         fc = symmetric_hull(PointCloud([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]))
         diag = validate_complex(fc)
         assert {c.name for c in diag.checks if not c.passed} == {"simplicial"}
-        assert diag.check("simplicial").n_offending == 1  # the edge's row, for it and its antipode
+        assert diag.check("simplicial").n_offending == 2  # the edge's two rows
 
     def test_ridge_keys_count_the_ridge_rows_after(self):
         fc = random_complex(6, 15, 325)
@@ -668,7 +693,7 @@ class TestValidation:
 
     def test_key_passes_per_hull(self, monkeypatch):
         # qhull's rows without the apex and their mirrors are keyed once
-        # each; validation keys the 2P id rows of R u -R once, and the row
+        # each; validation keys the P id rows of R and of -R once, and the row
         # keys that order the rows are not recomputed
         row_keys, shapes = hull._row_keys, []
 
@@ -680,9 +705,10 @@ class TestValidation:
         returned = qhull_rows(monkeypatch)
         fc = random_complex(4, 12, 7)
         assert validate_complex(fc).passed
-        kept = int(np.count_nonzero((returned[0] != 24).all(axis=1)))
+        kept = int(np.count_nonzero((returned[0][1] != 0).all(axis=1)))
         assert fc.facet_count // 2 <= kept < fc.facet_count
-        assert shapes == [(kept, 4), (kept, 4), (fc.facet_count, 4)]
+        P = fc.facet_count // 2
+        assert shapes == [(kept, 4), (kept, 4), (P, 4), (P, 4)]
 
     def test_cone_measure_positive(self):
         fc = random_complex(5, 12, 5)
@@ -744,12 +770,31 @@ def test_symmetric_hull_holds_one_row_per_pair_at_the_heavy_cell(heavy_hull_peak
     assert peak < 0.5 * fc.facet_count * fc.n * fc.n * 8
 
 
+def test_validation_holds_one_ridge_table():
+    # the (n, 2P) uint64 ridge keys of R u -R are the one table
+    # validate_complex holds; holding also a (2P, n) table of the id rows
+    # of R u -R and a sorted copy of the ridge keys peaked at 3.3x the
+    # table here
+    n, m = 8, 24
+    fc = symmetric_hull(sample_symmetric_cloud(n, m, derive_seed(424242, [n, m, 1])))
+    table = 2 * fc.vertex_ids.size * 8
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        assert validate_complex(fc).passed
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert table > 1 << 20  # well above the blocked passes' fixed temporaries
+    assert peak <= 2 * table
+
+
 def test_qhull_returns_under_four_fifths_of_the_facets_at_the_heavy_cell(monkeypatch):
     # the apex hides all but about 0.71 F of the full hull's facets there
     n, m = 8, 64
     returned = qhull_rows(monkeypatch)
     fc = symmetric_hull(sample_symmetric_cloud(n, m, derive_seed(424242, [n, m, 1])))
-    assert returned[0].shape[0] < 0.8 * fc.facet_count
+    assert returned[0][1].shape[0] < 0.8 * fc.facet_count
 
 
 class TestUnpackedIds:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from isohull import hull
+from isohull import hull, moments
 from isohull.harness import run_trial
 from isohull.moments import (
     REJECTION_MAX_DIM,
@@ -209,6 +209,29 @@ class TestOracle:
         fc = random_complex(REJECTION_MAX_DIM + 1, 3 * (REJECTION_MAX_DIM + 1), 98)
         est = mc_moment_oracle(fc, 1000, RngStream(99))
         assert est.volume is None
+
+    def test_volume_check_holds_one_block_of_products(self):
+        # the rejection test runs over blocks of samples; unblocked, the
+        # (samples, P) products and their absolute values, 16384 samples
+        # against P = 754 rows here, held about 200 MB
+        fc = random_complex(5, 40, 101)
+        tracemalloc.start()
+        try:
+            est = mc_moment_oracle(fc, 1 << 14, RngStream(102))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.volume is not None
+        assert peak < 16 << 20
+
+    def test_blocked_volume_equals_the_unblocked_one(self, monkeypatch):
+        fc = random_complex(5, 40, 103)
+        blocked = mc_moment_oracle(fc, 20_000, RngStream(104))
+        monkeypatch.setattr(moments, "facet_blocks", lambda count, width: iter([slice(0, count)]))
+        whole = mc_moment_oracle(fc, 20_000, RngStream(104))
+        assert 0.0 < blocked.volume == whole.volume
+        assert blocked.volume_se == whole.volume_se
+        assert blocked.mean_square == whole.mean_square
 
     def test_deterministic(self, octahedron):
         a = mc_moment_oracle(octahedron, 20_000, RngStream(100))
