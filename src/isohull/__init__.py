@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .sphere_stats import (
     RngStream,
-    PointCloud,
     derive_seed,
     sample_symmetric_cloud,
     sphere_abs_moment,
@@ -50,7 +49,6 @@ from .harness import (
 
 __all__ = [
     "RngStream",
-    "PointCloud",
     "derive_seed",
     "sample_symmetric_cloud",
     "sphere_abs_moment",

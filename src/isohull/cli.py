@@ -113,14 +113,9 @@ def _emit(obj, out: str | None = None) -> None:
 
 
 def _cmd_sample(args) -> int:
-    cloud = sample_symmetric_cloud(args.n, args.m, args.seed)
+    points = sample_symmetric_cloud(args.n, args.m, args.seed)
     _emit(
-        {
-            "n": cloud.n,
-            "m": cloud.m,
-            "seed": cloud.seed,
-            "points": [[float(x) for x in row] for row in cloud.points],
-        },
+        {"n": args.n, "m": args.m, "seed": args.seed, "points": points.tolist()},
         args.out,
     )
     return EXIT_OK
@@ -128,8 +123,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_hull(args) -> int:
     check_cell(args.n, args.m)
-    cloud = sample_symmetric_cloud(args.n, args.m, args.seed)
-    fc = symmetric_hull(cloud)
+    fc = symmetric_hull(sample_symmetric_cloud(args.n, args.m, args.seed))
     diag = validate_complex(fc)
     if args.dump:
         Path(args.dump).write_text(dump_off_like(fc))

@@ -147,6 +147,12 @@ def _config_int(value, what: str) -> int:
     raise ConfigError(f"{what} must be an integer, got {value!r}")
 
 
+def _require_int(value, what: str) -> None:
+    """Raise ConfigError unless ``value`` is an int, and not a bool."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on (its affinity mask where the OS has one)."""
     if hasattr(os, "sched_getaffinity"):
@@ -166,16 +172,20 @@ class ExperimentConfig:
     grid: tuple[tuple[int, int], ...]
     trials: int = DEFAULT_TRIALS
     master_seed: int = DEFAULT_MASTER_SEED
-    output_dir: str | None = None
+    output_dir: str | os.PathLike | None = None
     workers: int = 1
 
     def validate(self) -> None:
         if not self.grid:
             raise ConfigError("grid must contain at least one (n, m) cell")
         for i, (n, m) in enumerate(self.grid):
+            _require_int(n, "grid n")
+            _require_int(m, "grid m")
             check_cell(n, m)
             if self.grid[i] in self.grid[:i]:
                 raise ConfigError(f"grid repeats cell (n={n}, m={m})")
+        for name in ("trials", "master_seed", "workers"):
+            _require_int(getattr(self, name), name)
         if not 1 <= self.trials <= MAX_TRIALS:
             raise ConfigError(f"trials must be in [1, {MAX_TRIALS}], got {self.trials}")
         if not 0 <= self.master_seed < (1 << 64):
@@ -194,7 +204,7 @@ class ExperimentConfig:
             "grid": [[n, m] for n, m in self.grid],
             "trials": self.trials,
             "master_seed": self.master_seed,
-            "output_dir": self.output_dir,
+            "output_dir": None if self.output_dir is None else os.fspath(self.output_dir),
             "workers": self.workers,
         }
 
@@ -355,10 +365,10 @@ def run_trial(
     fc = None
     for attempt in range(RESAMPLE_CAP):
         with _stage("sample"):
-            cloud = sample_symmetric_cloud(n, m, attempt_seed)
+            points = sample_symmetric_cloud(n, m, attempt_seed)
         with _stage("hull"):
             try:
-                candidate = symmetric_hull(cloud)
+                candidate = symmetric_hull(points)
             except (DegenerateCloudError, DegenerateFacetError):
                 candidate = None
         if candidate is not None:

@@ -72,10 +72,10 @@ Each facet is identified by one uint64 key, the lexicographic rank of its
 sorted vertex ids among all n-subsets of the 2m ids (combinatorial number
 system; Knuth, TAOCP 4A 7.2.1.3), exact while C(2m, n) < 2^64; every ridge
 key is summed from the same binomial weights without forming the ridges.
-Row i + m of the vertex table is the exact negation of row i; the plane
-sweep relies on that to visit only the m base points and each row once for
-itself and its mirror, and the ``central_symmetry`` check fails any complex
-that breaks it.
+The complex holds the m points, and vertex id i + m names the negation of
+point i, so the antipode of every vertex is exact by construction; the
+plane sweep visits only the m points and each row once for itself and
+its mirror.
 
 The two facets of a pair have equal (n-1)-volume, distance and cone
 moments, so every per-facet array holds P = F/2 rows.  One pass over the
@@ -102,8 +102,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import QhullError
 from scipy.spatial._qhull import _Qhull
-
-from .sphere_stats import PointCloud
 
 __all__ = [
     "FacetComplex",
@@ -163,11 +161,11 @@ class InvalidComplexError(RuntimeError):
 class FacetComplex:
     """Simplicial boundary of a centrally symmetric polytope, one row per antipodal pair.
 
-    ``vertices`` is the full 2m-row symmetrized coordinate table: rows :m
-    are the base points and row i + m is the negation of row i.  Row i of
-    ``vertex_ids``, ``normals``, ``dists``, ``volumes`` and ``cross_sums``
-    is the facet F of its pair F, -F with the smaller key, and rows are in
-    key order.  The facet -F is implied: its id row is
+    ``points`` holds the m generators P_i of K = conv{+-P_i}; vertex id i
+    names P_i for i < m and -P_(i-m) otherwise (the rows of ``vertices``).
+    Row i of ``vertex_ids``, ``normals``, ``dists``, ``volumes`` and
+    ``cross_sums`` is the facet F of its pair F, -F with the smaller key,
+    and rows are in key order.  The facet -F is implied: its id row is
     sort((ids + m) mod 2m), its normal is -normals[i], and its distance,
     volume and cross sum are row i's.  ``facet_count`` counts both members
     of every pair, and ``cone_second`` sums over all of them.
@@ -175,7 +173,7 @@ class FacetComplex:
     """
 
     n: int
-    vertices: np.ndarray  # (2m, n)
+    points: np.ndarray  # (m, n)
     vertex_ids: np.ndarray  # (P, n) int64, rows sorted
     normals: np.ndarray  # (P, n) unit outward
     dists: np.ndarray  # (P,) > 0
@@ -189,7 +187,12 @@ class FacetComplex:
 
     @property
     def num_points(self) -> int:
-        return int(self.vertices.shape[0]) // 2
+        return int(self.points.shape[0])
+
+    @property
+    def vertices(self) -> np.ndarray:
+        """The 2m-row vertex table the ids index: the points, then their negations."""
+        return np.vstack([self.points, -self.points])
 
     def cone_volumes(self) -> np.ndarray:
         """Volume of each row's cone conv(0, F), and its mirror's: dist * facet_volume / n."""
@@ -197,7 +200,7 @@ class FacetComplex:
 
     def is_unit(self) -> bool:
         """Every vertex norm is 1 within UNIT_VERTEX_TOL (the closed forms' domain)."""
-        norms = np.linalg.norm(self.vertices, axis=1)
+        norms = np.linalg.norm(self.points, axis=1)
         return bool(np.all(np.abs(norms - 1.0) <= UNIT_VERTEX_TOL))
 
 
@@ -302,10 +305,11 @@ def _facet_table(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, normals, -planes[:, n]
 
 
-def symmetric_hull(cloud: PointCloud) -> FacetComplex:
-    """Facet complex of the convex hull of the 2m symmetrized points.
+def symmetric_hull(points: np.typing.ArrayLike) -> FacetComplex:
+    """Facet complex of K = conv{+-P_1, ..., +-P_m}, the P_i the rows of ``points``.
 
-    Requires the cloud to span R^n (rank checked at tolerance 1e-9 on the
+    ``points`` is an (m, n) array or nested list (anything else is a
+    ValueError) whose rows span R^n (rank checked at tolerance 1e-9 on the
     singular values).  Raises :class:`DegenerateFacetError` when qhull
     fails or a facet plane passes through the origin or has zero volume;
     callers treat that as a resample event.  Coplanar points are not
@@ -314,15 +318,17 @@ def symmetric_hull(cloud: PointCloud) -> FacetComplex:
     exact mirror (see :class:`FacetComplex`).  Accepts general-position
     non-unit inputs.
     """
-    pts = cloud.points
-    n = cloud.n
+    pts = np.array(points, dtype=float)
+    if pts.ndim != 2:
+        raise ValueError("points must be a 2-D array of shape (m, n)")
+    n = pts.shape[1]
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
     sv = np.linalg.svd(pts, compute_uv=False)
     if sv.size < n or sv[n - 1] <= SPAN_TOL:
         raise DegenerateCloudError("degenerate: points do not span")
 
-    sym = cloud.symmetrized()
+    sym = np.vstack([pts, -pts])
     ids, normals, dists = _facet_table(sym)
     if np.any(dists <= 1e-12):
         raise DegenerateFacetError(
@@ -353,7 +359,7 @@ def symmetric_hull(cloud: PointCloud) -> FacetComplex:
         raise DegenerateFacetError(
             "degenerate: perturbation required (zero-volume facet)"
         )
-    return FacetComplex(n, sym, ids, normals, dists, volumes, cross, second)
+    return FacetComplex(n, pts, ids, normals, dists, volumes, cross, second)
 
 
 @dataclass(frozen=True)
@@ -419,25 +425,23 @@ def _row_keys(rows: np.ndarray, id_bound: int) -> np.ndarray:
     return keys
 
 
-def _ridges(vertex_ids: np.ndarray, id_bound: int, out: np.ndarray | None = None) -> np.ndarray:
-    """The F * n ridge keys; block k keys every facet without its column k.
+def _ridges(vertex_ids: np.ndarray, id_bound: int, out: np.ndarray) -> np.ndarray:
+    """The F * n ridge keys into ``out``, returned; row k keys every facet without its column k.
 
     A ridge's key, C(N, n-1) - 1 - its rank, is a prefix plus a suffix sum over
     the facet's columns c: sum_{i<k} C(N-1-c_i, n-1-i) + sum_{i>k} C(N-1-c_i, n-i).
-    With ``out``, an (n, F) uint64 array whose rows are each contiguous,
-    block k is written into row k and ``out`` is returned as it is.
+    ``out`` is an (n, F) uint64 array whose rows are each contiguous.
     """
     F, n = vertex_ids.shape
     weights = _weights(id_bound, n - 1)
-    after = np.empty((n, F), dtype=np.uint64) if out is None else out
-    after[n - 1] = 0
+    out[n - 1] = 0
     for k in range(n - 1, 0, -1):
-        np.add(after[k], weights[n - k].take(vertex_ids[:, k]), out=after[k - 1])
+        np.add(out[k], weights[n - k].take(vertex_ids[:, k]), out=out[k - 1])
     head = np.zeros(F, dtype=np.uint64)
     for k in range(1, n):
         head += weights[n - k].take(vertex_ids[:, k - 1])
-        after[k] += head
-    return after.ravel() if out is None else out
+        out[k] += head
+    return out
 
 
 def _all_keys_paired(keys: np.ndarray) -> bool:
@@ -445,10 +449,6 @@ def _all_keys_paired(keys: np.ndarray) -> bool:
     # keys match in pairs (an odd count cannot) and neighbouring pairs differ.
     keys.sort()
     return np.array_equal(keys[0::2], keys[1::2]) and bool(np.all(keys[1:-1:2] != keys[2::2]))
-
-
-def _first(idx: np.ndarray) -> tuple[int, ...]:
-    return tuple(int(i) for i in idx[:OFFENDING_LIMIT])
 
 
 def validate_complex(fc: FacetComplex) -> ComplexDiagnostics:
@@ -459,18 +459,18 @@ def validate_complex(fc: FacetComplex) -> ComplexDiagnostics:
     instead of raising.  Checks: facet vertices lie on their hyperplane, no
     facet contains an antipodal pair, distances are positive (and at most 1
     for unit-vertex complexes), id rows are strictly increasing and every
-    ridge of R u -R is shared by exactly two of its facets, vertex rows m..
-    are the exact negation of rows ..m and the 2P facets of R u -R are
-    distinct, all points lie on the inner side of every facet, no facet's
-    hyperplane carries more than n points (a coplanar, non-simplicial facet
-    that qhull triangulated), and the cone decomposition has positive total
-    measure.
+    ridge of R u -R is shared by exactly two of its facets, the 2P facets
+    of R u -R are distinct (``central_symmetry``), all points lie on the
+    inner side of every facet, no facet's hyperplane carries more than n
+    points (a coplanar, non-simplicial facet that qhull triangulated), and
+    the cone decomposition has positive total measure.  The complex stores
+    only the m points, so every mirror vertex is an exact negation by
+    construction and no check compares vertex rows.
 
     The point-side checks (``vertex_on_plane``, ``containment`` and
-    ``simplicial``) sweep each row of R once, against the m base points.
-    The mirror -F has the vertices of F negated (vertex row i + m is the
-    exact negation of row i, checked by ``central_symmetry``), the negated
-    normal and the same distance, so its figures are F's.
+    ``simplicial``) sweep each row of R once, against the m points.  The
+    mirror -F has the vertices of F negated (vertex id i + m names -P_i),
+    the negated normal and the same distance, so its figures are F's.
 
     The certificate of the boundary of K is then the sweep of R against all
     2m points, ridge closure of R u -R and the distinctness of its facets,
@@ -482,8 +482,8 @@ def validate_complex(fc: FacetComplex) -> ComplexDiagnostics:
     """
     ids = fc.vertex_ids
     P, n = ids.shape
-    two_m = fc.vertices.shape[0]
-    m = two_m // 2
+    m = fc.num_points
+    two_m = 2 * m
 
     # On contiguous id columns: reductions along rows of n entries cost
     # more.  Ids i and i' below 2m name one base point when |i - i'| is 0 or m.
@@ -551,10 +551,8 @@ def validate_complex(fc: FacetComplex) -> ComplexDiagnostics:
         bad_ridges = np.empty(0, dtype=np.int64)
     del table
 
-    # Row i + m must be the exact negation of row i (the sweep visits only
-    # the first m rows), and the 2P facets of R u -R must be distinct: a
-    # row listed twice, or a row whose mirror is also a row, repeats a key.
-    antipodal = np.array_equal(fc.vertices[m:], -fc.vertices[:m])
+    # The 2P facets of R u -R must be distinct: a row listed twice, or a
+    # row whose mirror is also a row, repeats a key.
     s = np.sort(keys)
     if np.all(s[1:] != s[:-1]):
         repeated = np.empty(0, dtype=np.int64)
@@ -577,13 +575,7 @@ def validate_complex(fc: FacetComplex) -> ComplexDiagnostics:
                 else "",
                 bad_ridges.size,
             ),
-            CheckResult(
-                "central_symmetry",
-                antipodal and repeated.size == 0,
-                _first(repeated),
-                int(repeated.size),
-                "" if antipodal else "vertex rows m.. are not the negated rows ..m",
-            ),
+            _result("central_symmetry", repeated),
             containment,
             simplicial,
             CheckResult(
@@ -600,24 +592,25 @@ def _result(
 ) -> CheckResult:
     """A check that fails at the row indices ``bad``; ``n_offending`` defaults to their count."""
     count = bad.size if n_offending is None else n_offending
-    return CheckResult(name, count == 0, _first(bad), int(count), detail)
+    first = tuple(int(i) for i in bad[:OFFENDING_LIMIT])
+    return CheckResult(name, count == 0, first, int(count), detail)
 
 
 def _plane_sweep(fc: FacetComplex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each row's largest vertex residual, largest slack and points on its hyperplane.
 
     One sweep over blocks of the row-major inner products G = N B^T of the
-    normals with the m base points B.  Vertex id i is base point i % m,
-    negated for i >= m, so the row's own vertices read their plane
-    residuals from G.  A point and its antipode have slacks G - d and
-    -G - d, so the larger is |G| - d, and their distances to the plane are
-    ||G| - d| and |G| + d; these give each row's largest slack and the
-    number of points on its hyperplane.
+    normals with the m points B.  Vertex id i is point i % m, negated for
+    i >= m, so the row's own vertices read their plane residuals from G.
+    A point and its antipode have slacks G - d and -G - d, so the larger
+    is |G| - d, and their distances to the plane are ||G| - d| and |G| + d;
+    these give each row's largest slack and the number of points on its
+    hyperplane.
     """
     ids = fc.vertex_ids
     P = ids.shape[0]
     m = fc.num_points
-    base = fc.vertices[:m]
+    base = fc.points
     residual = np.empty(P)
     viol = np.empty(P)
     on_plane = np.empty(P, dtype=np.int64)
@@ -648,7 +641,7 @@ def inradius(fc: FacetComplex) -> float:
 def dump_off_like(fc: FacetComplex) -> str:
     """Plain-text dump: header 'n m facet_count', coordinate rows, facet rows.
 
-    Coordinates are the 2m symmetrized points with 17 significant digits;
+    Coordinates are the 2m rows of ``fc.vertices`` with 17 significant digits;
     facet rows list vertex ids into that table: the complex's rows, then
     their mirror rows.
     """

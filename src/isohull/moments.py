@@ -104,7 +104,7 @@ def polytope_covariance(fc: FacetComplex) -> np.ndarray:
     """(1/|K|) int_K x x^T dx for a symmetric polytope, any vertex norms.
 
     The stored sum of the cone second-moment matrices is divided by the
-    volume and symmetrized.  No factorization is done here:
+    volume and averaged with its transpose.  No factorization is done here:
     :func:`isohull.isotropy.isotropy_constant` is the one SPD gate.
     """
     cov = fc.cone_second / polytope_volume(fc)
@@ -140,7 +140,6 @@ class OracleEstimate:
     rejection sampling is not run.
     """
 
-    n_samples: int
     mean_square: float
     mean_square_se: float
     covariance: np.ndarray
@@ -166,7 +165,7 @@ def mc_moment_oracle(fc: FacetComplex, n_samples: int, stream: RngStream) -> Ora
 
     ms_stream = stream.child(1)
     vol_stream = stream.child(2)
-    r_max = float(np.linalg.norm(fc.vertices, axis=1).max())
+    r_max = float(np.linalg.norm(fc.points, axis=1).max())
     sum_sq = 0.0
     sum_sq2 = 0.0
     cov_sum = np.zeros((n, n))
@@ -206,7 +205,6 @@ def mc_moment_oracle(fc: FacetComplex, n_samples: int, stream: RngStream) -> Ora
         volume_se = ball * math.sqrt(max(p * (1.0 - p), 0.0) / n_samples)
 
     return OracleEstimate(
-        n_samples=n_samples,
         mean_square=ms,
         mean_square_se=ms_se,
         covariance=cov,

@@ -26,7 +26,6 @@ from scipy import special
 __all__ = [
     "derive_seed",
     "RngStream",
-    "PointCloud",
     "sphere_points",
     "sample_symmetric_cloud",
     "sphere_abs_moment",
@@ -122,38 +121,6 @@ class RngStream:
         return -np.log1p(-u)
 
 
-@dataclass(eq=False)
-class PointCloud:
-    """An ordered list of points in R^n together with provenance.
-
-    ``points`` has shape (m, n).  The symmetrized list of 2m points is
-    materialized lazily: index i in [0, m) is the i-th point, index i + m
-    is its antipode.  Clouds built by :func:`sample_symmetric_cloud` have
-    unit-norm rows; other clouds need not.
-    """
-
-    points: np.ndarray
-    seed: int | None = None
-
-    def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2:
-            raise ValueError("points must be a 2-D array of shape (m, n)")
-        self.points = pts
-
-    @property
-    def n(self) -> int:
-        return self.points.shape[1]
-
-    @property
-    def m(self) -> int:
-        return self.points.shape[0]
-
-    def symmetrized(self) -> np.ndarray:
-        """The 2m symmetrized points; row i + m is the antipode of row i."""
-        return np.vstack([self.points, -self.points])
-
-
 # Label for the cloud-sampling stream under a trial seed; Monte Carlo
 # oracles use disjoint labels (see moments / harness).
 CLOUD_STREAM_LABEL = 0
@@ -171,8 +138,8 @@ def sphere_points(n: int, count: int, stream: RngStream) -> np.ndarray:
     return g / norms[:, None]
 
 
-def sample_symmetric_cloud(n: int, m: int, seed: int) -> PointCloud:
-    """m independent uniform sphere points, deterministic in (n, m, seed).
+def sample_symmetric_cloud(n: int, m: int, seed: int) -> np.ndarray:
+    """The (m, n) generators of K: m uniform sphere points, deterministic in (n, m, seed).
 
     The symmetric hull of fewer than n + 1 generators cannot be controlled
     by the random-polytope machinery, so m > n >= 2 is required, and the
@@ -182,8 +149,7 @@ def sample_symmetric_cloud(n: int, m: int, seed: int) -> PointCloud:
         raise ConfigError(f"insufficient points or dimension: need m > n >= 2, got n={n}, m={m}")
     if not 0 <= seed <= _MASK64:
         raise ConfigError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    points = sphere_points(n, m, RngStream(seed, (CLOUD_STREAM_LABEL,)))
-    return PointCloud(points, seed=seed)
+    return sphere_points(n, m, RngStream(seed, (CLOUD_STREAM_LABEL,)))
 
 
 def ball_volume(n: int) -> float:

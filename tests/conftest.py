@@ -10,11 +10,11 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from isohull.hull import FacetComplex, symmetric_hull
-from isohull.sphere_stats import PointCloud, RngStream, sample_symmetric_cloud
+from isohull.sphere_stats import RngStream, sample_symmetric_cloud
 
 
 def cross_polytope_complex(n: int) -> FacetComplex:
-    return symmetric_hull(PointCloud(np.eye(n)))
+    return symmetric_hull(np.eye(n))
 
 
 def random_complex(n: int, m: int, seed: int) -> FacetComplex:
@@ -27,7 +27,7 @@ def implied_facets(fc: FacetComplex) -> dict[str, np.ndarray]:
     A mirror's id row is its row's ids moved by m modulo 2m and sorted; its
     normal is negated, and its distance, volume and cross sum are the row's.
     """
-    two_m = fc.vertices.shape[0]
+    two_m = 2 * fc.num_points
     mirror = [sorted((int(i) + two_m // 2) % two_m for i in row) for row in fc.vertex_ids]
     return {
         "ids": np.concatenate([fc.vertex_ids, np.array(mirror, dtype=np.int64).reshape(-1, fc.n)]),

@@ -19,7 +19,7 @@ import numpy as np
 from isohull.hull import UNIT_VERTEX_TOL, FacetComplex
 from isohull.isotropy import NotSPDError
 from isohull.moments import UnitVertexError, polytope_covariance, polytope_volume
-from isohull.sphere_stats import PointCloud, ball_volume
+from isohull.sphere_stats import ball_volume
 
 GAUSSIAN_4SIGMA_P = 6.334248366623996e-05  # two-sided tail mass at 4 sigma
 
@@ -151,7 +151,7 @@ def facet_mean_square_pullback(vertices: np.ndarray) -> float:
     return total
 
 
-def isotropic_transform(fc: FacetComplex) -> tuple[np.ndarray, PointCloud]:
+def isotropic_transform(fc: FacetComplex) -> tuple[np.ndarray, np.ndarray]:
     """Linear map T putting the body in isotropic position, plus T(base points).
 
     T = c * Cov^{-1/2} with the symmetric inverse square root (rotation
@@ -168,7 +168,7 @@ def isotropic_transform(fc: FacetComplex) -> tuple[np.ndarray, PointCloud]:
     det_inv_sqrt = float(np.prod(eigvals**-0.5))
     scale = (det_inv_sqrt * vol) ** (-1.0 / fc.n)
     T = scale * inv_sqrt
-    return T, PointCloud(fc.vertices[: fc.num_points] @ T.T)
+    return T, fc.points @ T.T
 
 
 def ball_fallback_bound(n: int, inradius: float) -> float:

@@ -42,7 +42,6 @@ from isohull.moments import (
     polytope_volume,
 )
 from isohull.sphere_stats import (
-    PointCloud,
     RngStream,
     bernstein_bound,
     cap_tail_prob,
@@ -142,7 +141,7 @@ def test_criterion_3_hull_correctness(campaign):
         cloud = sample_symmetric_cloud(n, m, seed)
         fc = symmetric_hull(cloud)
         assert validate_complex(fc).passed
-        sym = np.vstack([cloud.points, -cloud.points])
+        sym = np.vstack([cloud, -cloud])
         got = {frozenset(int(v) for v in row) for row in implied_facets(fc)["ids"]}
         assert got == brute_force_facets(sym), f"facet mismatch at (n={n}, m={m})"
         count += 1
@@ -177,7 +176,7 @@ def test_criterion_4_isotropy_identities(campaign):
         st = RngStream(ACCEPT_SEED, (4, 21, tag))
         for _ in range(2):
             T = bounded_condition_map(st, n, 0.4, 3.6)  # condition <= 10
-            fc2 = symmetric_hull(PointCloud(fc.vertices[: fc.num_points] @ T.T))
+            fc2 = symmetric_hull(fc.points @ T.T)
             lk2 = isotropy_constant(polytope_volume(fc2), polytope_covariance(fc2)).l_k
             assert abs(lk2 - base) <= 1e-8 * base
 

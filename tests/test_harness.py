@@ -128,6 +128,36 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"workers must be in \[1, 6\]"):
             small_config(tmp_path, workers=7).validate()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("trials", 2.5),
+            ("trials", 2.0),
+            ("trials", True),
+            ("master_seed", 1.5),
+            ("master_seed", np.uint64(1)),
+            ("workers", 1.0),
+            ("grid", ((3.0, 6),)),
+            ("grid", ((3, True),)),
+        ],
+    )
+    def test_non_int_counts_fail_before_any_process(self, tmp_path, monkeypatch, key, value):
+        # a float runs a truncated campaign and hashes as another one; a bool
+        # is written to the summary as true
+        for name in ("ProcessPoolExecutor", "_trial_task", "derive_seed"):
+            monkeypatch.setattr(harness, name, injected_failure)
+        cfg = small_config(tmp_path, **{key: value})
+        with pytest.raises(ConfigError, match="must be an integer"):
+            run_experiment(cfg)
+        assert not (tmp_path / "out").exists()
+
+    def test_path_output_dir_is_written_as_a_string(self, tmp_path):
+        out = tmp_path / "path"
+        res = run_experiment(small_config(tmp_path, output_dir=out, trials=1))
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["config"]["output_dir"] == str(out)
+        assert Path(res.paths["csv"]).parent == out
+
     def test_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json_dict({"grid": [[2, 4]], "bogus": 1})

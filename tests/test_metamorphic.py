@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from isohull.hull import inradius, symmetric_hull
 from isohull.isotropy import isotropy_constant
 from isohull.moments import polytope_covariance, polytope_volume
-from isohull.sphere_stats import PointCloud, RngStream, sample_symmetric_cloud
+from isohull.sphere_stats import RngStream, sample_symmetric_cloud
 
 REL = 1e-10
 # the same examples on every run, so a failure reproduces
@@ -31,8 +31,8 @@ def clouds(draw):
     return sample_symmetric_cloud(n, m, draw(st.integers(0, 2**32 - 1)))
 
 
-def observe(cloud: PointCloud) -> dict:
-    fc = symmetric_hull(cloud)
+def observe(points: np.ndarray) -> dict:
+    fc = symmetric_hull(points)
     volume = polytope_volume(fc)
     cov = polytope_covariance(fc)
     return {
@@ -56,28 +56,29 @@ def assert_same_body(a: dict, b: dict, rotation: np.ndarray | None = None) -> No
 @EXAMPLES
 @given(cloud=clouds(), data=st.data())
 def test_sign_flip_invariance(cloud, data):
-    flips = data.draw(st.lists(st.booleans(), min_size=cloud.m, max_size=cloud.m))
+    flips = data.draw(st.lists(st.booleans(), min_size=len(cloud), max_size=len(cloud)))
     signs = np.where(flips, -1.0, 1.0)[:, None]
     base = observe(cloud)
-    flipped = observe(PointCloud(signs * cloud.points))
+    flipped = observe(signs * cloud)
     assert_same_body(base, flipped)
 
 
 @EXAMPLES
 @given(cloud=clouds(), data=st.data())
 def test_permutation_invariance(cloud, data):
-    perm = data.draw(st.permutations(range(cloud.m)))
+    perm = data.draw(st.permutations(range(len(cloud))))
     base = observe(cloud)
-    permuted = observe(PointCloud(cloud.points[list(perm)]))
+    permuted = observe(cloud[list(perm)])
     assert_same_body(base, permuted)
 
 
 @EXAMPLES
 @given(cloud=clouds(), seed=st.integers(0, 2**32 - 1))
 def test_orthogonal_map_invariance(cloud, seed):
-    q, _ = np.linalg.qr(np.asarray(RngStream(seed).gaussian((cloud.n, cloud.n))))
+    n = cloud.shape[1]
+    q, _ = np.linalg.qr(np.asarray(RngStream(seed).gaussian((n, n))))
     base = observe(cloud)
-    mapped = observe(PointCloud(cloud.points @ q.T))
+    mapped = observe(cloud @ q.T)
     assert_same_body(base, mapped, rotation=q)
 
 
@@ -87,7 +88,7 @@ def test_full_flip_swaps_every_representative():
     # pass computes on the other facet of every pair
     cloud = sample_symmetric_cloud(5, 14, 17)
     fc = symmetric_hull(cloud)
-    flipped = symmetric_hull(PointCloud(-cloud.points))
+    flipped = symmetric_hull(-cloud)
     assert np.array_equal(fc.vertex_ids, flipped.vertex_ids)
     assert np.array_equal(flipped.vertices, -fc.vertices)
     assert polytope_volume(flipped) == pytest.approx(polytope_volume(fc), rel=REL)

@@ -20,7 +20,7 @@ from isohull.moments import (
     sample_in_polytope,
 )
 from isohull.hull import symmetric_hull, validate_complex
-from isohull.sphere_stats import PointCloud, RngStream, sphere_points
+from isohull.sphere_stats import RngStream, sphere_points
 from conftest import cross_polytope_complex, implied_facets, random_complex
 from oracles import (
     GAUSSIAN_4SIGMA_P,
@@ -119,7 +119,7 @@ class TestPolytopeMeanSquare:
 
     def test_rejects_general_vertices(self):
         fc = random_complex(3, 8, 7)
-        scaled = symmetric_hull(PointCloud(1.7 * fc.vertices[: fc.num_points]))
+        scaled = symmetric_hull(1.7 * fc.points)
         with pytest.raises(UnitVertexError):
             polytope_mean_square(scaled)
 
@@ -147,7 +147,7 @@ class TestPolytopeCovariance:
     def test_rotation_equivariance(self):
         fc = random_complex(3, 9, 77)
         rot, _ = np.linalg.qr(np.asarray(RngStream(78).gaussian((3, 3))))
-        rotated = symmetric_hull(PointCloud(fc.vertices[: fc.num_points] @ rot.T))
+        rotated = symmetric_hull(fc.points @ rot.T)
         cov = polytope_covariance(fc)
         cov_rot = polytope_covariance(rotated)
         assert np.abs(cov_rot - rot @ cov @ rot.T).max() <= 1e-10
@@ -157,7 +157,7 @@ class TestPolytopeCovariance:
         vol = polytope_volume(fc)
         cov = polytope_covariance(fc)
         for t in (0.5, 2.0):
-            scaled = symmetric_hull(PointCloud(t * fc.vertices[: fc.num_points]))
+            scaled = symmetric_hull(t * fc.points)
             assert polytope_volume(scaled) == pytest.approx(t**fc.n * vol, rel=1e-10)
             assert np.abs(polytope_covariance(scaled) - t**2 * cov).max() <= 1e-10 * t**2
 

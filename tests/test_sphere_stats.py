@@ -93,13 +93,13 @@ class TestSampleUnitVector:
 
     def test_unit_norm(self):
         for n in (2, 5, 17):
-            norms = np.linalg.norm(sample_symmetric_cloud(n, 3 * n, 21).points, axis=1)
+            norms = np.linalg.norm(sample_symmetric_cloud(n, 3 * n, 21), axis=1)
             assert np.abs(norms - 1.0).max() <= 1e-12
 
     def test_second_moment_matches_closed_form(self):
         # E <v, theta>^2 = 1/n; the standard error uses the exact fourth moment
         n, draws = 5, 100_000
-        g = sample_symmetric_cloud(n, draws, 22).points
+        g = sample_symmetric_cloud(n, draws, 22)
         x2 = g[:, 0] ** 2
         var = sphere_abs_moment(n, 4) - (1.0 / n) ** 2
         se = math.sqrt(var / draws)
@@ -108,7 +108,7 @@ class TestSampleUnitVector:
     def test_cap_frequency_n3(self):
         # one-sided cap on S^2 has measure (1 - alpha) / 2
         draws = 100_000
-        g = sample_symmetric_cloud(3, draws, 23).points
+        g = sample_symmetric_cloud(3, draws, 23)
         for alpha in (0.2, 0.5):
             p = (1.0 - alpha) / 2.0
             freq = float(np.mean(g[:, 0] > alpha))
@@ -117,7 +117,7 @@ class TestSampleUnitVector:
 
     def test_rotation_invariance_ks(self):
         draws, n = 100_000, 4
-        g = sample_symmetric_cloud(n, draws, 24).points
+        g = sample_symmetric_cloud(n, draws, 24)
         rot, _ = np.linalg.qr(np.asarray(RngStream(25).gaussian((n, n))))
         theta = np.zeros(n)
         theta[0] = 1.0
@@ -130,9 +130,8 @@ class TestSampleUnitVector:
 class TestSymmetricCloud:
     def test_deterministic(self):
         a = sample_symmetric_cloud(3, 10, 42)
-        b = sample_symmetric_cloud(3, 10, 42)
-        assert np.array_equal(a.points, b.points)
-        assert a.seed == 42
+        assert a.shape == (10, 3)
+        assert np.array_equal(a, sample_symmetric_cloud(3, 10, 42))
 
     def test_rejects_too_few_points(self):
         with pytest.raises(ConfigError, match="insufficient"):
@@ -147,15 +146,10 @@ class TestSymmetricCloud:
         with pytest.raises(ConfigError, match="seed"):
             sample_symmetric_cloud(3, 6, seed)
 
-    def test_symmetrized_indexing(self):
-        cloud = sample_symmetric_cloud(3, 5, 9)
-        sym = cloud.symmetrized()
-        assert np.array_equal(sym[7], -cloud.points[2])
-
     def test_pooled_coordinate_means(self):
         n, m, seeds = 4, 20, 200
         pooled = np.vstack(
-            [sample_symmetric_cloud(n, m, s).points for s in range(seeds)]
+            [sample_symmetric_cloud(n, m, s) for s in range(seeds)]
         )
         se = math.sqrt(1.0 / n / pooled.shape[0])
         assert np.abs(pooled.mean(axis=0)).max() < 4.0 * se
