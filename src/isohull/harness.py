@@ -133,7 +133,9 @@ def cell_cost(n: int, m: int) -> float:
 
 
 def check_cell(n: int, m: int) -> None:
-    """Raise ConfigError unless m > n >= 2 and facet keys fit, C(2m, n) < 2^64 (no n >= 33)."""
+    """Raise ConfigError unless n and m are ints, m > n >= 2 and C(2m, n) < 2^64 (no n >= 33)."""
+    _require_int(n, "n")
+    _require_int(m, "m")
     if n < 2 or m <= n or n >= 33 or math.comb(2 * m, n) >= 1 << 64:
         raise ConfigError(f"cell needs m > n >= 2 and C(2m, n) < 2^64, got (n={n}, m={m})")
 
@@ -179,8 +181,6 @@ class ExperimentConfig:
         if not self.grid:
             raise ConfigError("grid must contain at least one (n, m) cell")
         for i, (n, m) in enumerate(self.grid):
-            _require_int(n, "grid n")
-            _require_int(m, "grid m")
             check_cell(n, m)
             if self.grid[i] in self.grid[:i]:
                 raise ConfigError(f"grid repeats cell (n={n}, m={m})")
@@ -353,14 +353,18 @@ def run_trial(
     A trial failure carries the name of the stage that raised it in its
     ``stage`` attribute: sample, hull, validate, moments, isotropy or
     oracle; a covariance that is not positive-definite fails at isotropy
-    (``NotSPDError``).  A cell outside :func:`check_cell`, a seed outside
-    [0, 2^64) or a negative ``oracle_samples`` is a ConfigError raised
-    before any hull is built.
+    (``NotSPDError``).  A cell outside :func:`check_cell`, a seed,
+    ``oracle_samples`` or ``trial_index`` that is not an int, a seed
+    outside [0, 2^64) or a negative ``oracle_samples`` is a ConfigError
+    raised before anything is sampled.
     """
     check_cell(n, m)
+    _require_int(seed, "seed")
+    _require_int(oracle_samples, "oracle_samples")
+    _require_int(trial_index, "trial_index")
     if oracle_samples < 0:
         raise ConfigError(f"oracle_samples must be >= 0, got {oracle_samples}")
-    attempt_seed = int(seed)
+    attempt_seed = seed
     resampled = 0
     fc = None
     for attempt in range(RESAMPLE_CAP):
@@ -420,8 +424,8 @@ def run_trial(
     return TrialRecord(
         n=n,
         m=m,
-        trial=int(trial_index),
-        seed=int(seed),
+        trial=trial_index,
+        seed=seed,
         l_k=report.l_k,
         identity_bound=report.identity_bound,
         vol_root=report.vol_root,

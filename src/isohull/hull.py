@@ -16,9 +16,10 @@ vertices, so it is a facet of K.  A facet of K with outward normal u and
 distance d is a facet of conv(K, a) exactly when <u, a> < d, and since
 <u, a> + <-u, a> = 0 < 2d at least one facet of every pair survives, with
 a at least d inside its plane.  The complex keeps one row per pair: the
-member of smaller key, with its own qhull plane or its returned partner's
-negated one.  The other member is implied: ids (ids + m) mod 2m, the
-exact negated normal and the same distance.
+member of smaller key.  The other member is implied: ids (ids + m) mod
+2m, the exact negated normal and the same distance.  qhull only names the
+facets; the planes come from the id rows (:func:`symmetric_hull`), so
+records do not depend on the apex, the insertion order or qhull's build.
 
 The rows qhull returns beyond those facets are the cones from a over the
 silhouette of K seen from a, and none is a facet of K; how many there are
@@ -57,10 +58,10 @@ with the steps of ``ConvexHull(points, incremental=True)`` and its
 ``add_points`` except the total volume and area (qhull's ``qh_getarea``
 over every facet, about 0.1 s of an (8, 64) hull, never read here) and
 the copy of the points.  ``TestQhullCall`` in ``tests/test_hull.py`` pins
-the call: the implied facets equal ``ConvexHull``'s without the apex and
-the planes agree within 1e-12, the input is in the order above,
-``volume_area`` is never called and ``close`` always is, so a scipy
-release that changes the private entry point fails there.
+the call: the implied facets equal ``ConvexHull``'s without the apex, its
+planes agree with the solved ones within 1e-12, the input is in the order
+above, ``volume_area`` is never called and ``close`` always is, so a
+scipy release that changes the private entry point fails there.
 
 Central symmetry, ridge pairing, containment and simpliciality are then
 re-checked post hoc by :func:`validate_complex`, which is independent of
@@ -80,12 +81,10 @@ its mirror.
 The two facets of a pair have equal (n-1)-volume, distance and cone
 moments, so every per-facet array holds P = F/2 rows.  One pass over the
 rows, in blocks of about ``_BLOCK_FLOATS`` float64s per temporary, gathers
-each row's vertices once and gives its volume, its cross sum and its cone
+each row's vertices once and gives its plane, volume, cross sum and cone
 second moment (read by :mod:`isohull.moments`), so no (F, n, n) gather is
 ever held and no BLAS product is large enough to wake OpenBLAS threads.
 
-All facet geometry is stored as flat per-row arrays (ids, normals,
-distances, (n-1)-volumes, cross sums) to keep per-trial work vectorized.
 :class:`InvalidComplexError` is a structural fault; a covariance that is
 not positive-definite is ``NotSPDError`` from the one SPD gate,
 :func:`isohull.isotropy.isotropy_constant`.
@@ -153,6 +152,10 @@ class DegenerateFacetError(RuntimeError):
     """qhull failed or gave a degenerate facet; the trial should be resampled."""
 
 
+def _degenerate(reason) -> DegenerateFacetError:
+    return DegenerateFacetError(f"degenerate: perturbation required ({reason})")
+
+
 class InvalidComplexError(RuntimeError):
     """A facet complex violates a structural invariant."""
 
@@ -165,10 +168,11 @@ class FacetComplex:
     names P_i for i < m and -P_(i-m) otherwise (the rows of ``vertices``).
     Row i of ``vertex_ids``, ``normals``, ``dists``, ``volumes`` and
     ``cross_sums`` is the facet F of its pair F, -F with the smaller key,
-    and rows are in key order.  The facet -F is implied: its id row is
-    sort((ids + m) mod 2m), its normal is -normals[i], and its distance,
-    volume and cross sum are row i's.  ``facet_count`` counts both members
-    of every pair, and ``cone_second`` sums over all of them.
+    and rows are in key order; its plane <x, a> = 1 solves V a = 1 for its
+    vertices V.  The facet -F is implied: its id row is sort((ids + m) mod
+    2m), its normal is -normals[i], and its distance, volume and cross sum
+    are row i's.  ``facet_count`` counts both members of every pair, and
+    ``cone_second`` sums over all of them.
     Instances are immutable by convention and safe to share across threads.
     """
 
@@ -218,8 +222,11 @@ def _apex_axis(base: np.ndarray) -> np.ndarray:
     Each step raises sum_i <P_i, d>^4 (its gradient is 4 sum_i p_i^3 P_i,
     and <sum_i p_i^3 P_i, d> = sum_i p_i^4 > 0 on a spanning cloud).  Only
     fixed-order einsums and elementwise operations run, so the bits of d
-    depend on no BLAS core and no tolerance.
+    depend on no BLAS core and no tolerance.  The base is first scaled
+    exactly, by a power of two, to a largest entry in [1/2, 1), so d is the
+    same at every scale and the cubes cannot overflow.
     """
+    base = np.ldexp(base, -np.frexp(np.abs(base).max())[1])
     cols = np.ascontiguousarray(base.T)  # both products then run along rows
     d = np.zeros(base.shape[1])
     d[0] = 1.0
@@ -230,14 +237,14 @@ def _apex_axis(base: np.ndarray) -> np.ndarray:
     return d
 
 
-def _facet_table(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Id rows, normals and distances of one facet per antipodal pair of conv(sym).
+def _facet_table(sym: np.ndarray) -> np.ndarray:
+    """Id rows of one facet per antipodal pair of conv(sym), in key order.
 
     qhull builds the hull of the 2m rows of ``sym`` and the apex
     -APEX_REACH * r * d (id 2m), d the fourth-moment axis of the base rows
-    ``sym[:m]``, top-down along d, and each pair is read from a facet of it
+    ``sym[:m]``, top-down along d, and each pair is named by a facet of it
     that qhull returned; see the module docstring.  Each row is the member
-    of its pair with the smaller key, and rows are in key order.  Raises
+    of its pair with the smaller key.  qhull's planes are not read.  Raises
     :class:`DegenerateFacetError` when qhull fails.
     """
     N, n = sym.shape
@@ -260,67 +267,51 @@ def _facet_table(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         try:
             qh.add_points(sym.take(descending[n:], axis=0))
             qh.triangulate()
-            simplices, _, equations, _, _ = qh.get_simplex_facet_array()
+            simplices = qh.get_simplex_facet_array()[0]
         finally:
             qh.close()
     except QhullError as exc:
-        raise DegenerateFacetError(f"degenerate: perturbation required ({exc})") from exc
+        raise _degenerate(exc) from exc
 
     # Rows without the apex are facets of K.  Each is read with its mirror
     # row, and the smaller of the two keys names the pair: a pair qhull
-    # returned whole is kept once, from the member of smaller key.  qhull's
-    # memory and the arrays read from it set a warm process's peak at
-    # (8, 64), so the arrays are dropped once read, and only the kept rows
-    # are mapped back to point ids, in place and in qhull's own int32.
+    # returned whole is kept once.  qhull's memory and the arrays read from
+    # it set a warm process's peak at (8, 64), so only the kept rows are
+    # mapped back to point ids, in place and in qhull's own int32.
     kept = simplices[:, 0] != 0
     for col in simplices.T[1:]:
         kept &= col != 0
-    kept = np.flatnonzero(kept)
-    ids = simplices.take(kept, axis=0)
+    ids = simplices.take(np.flatnonzero(kept), axis=0)
+    del simplices, kept
     lookup.take(ids, out=ids)
     ids.sort(axis=1)
-    planes = equations.take(kept, axis=0)
-    del simplices, equations, kept
     mirror = _mirror_rows(ids, N)
     own_keys, mirror_keys = _row_keys(ids, N), _row_keys(mirror, N)
     flip = mirror_keys < own_keys
-    pair_keys = np.minimum(own_keys, mirror_keys)
-    del own_keys, mirror_keys
-    order = np.lexsort((flip, pair_keys))
-    pair_keys = pair_keys.take(order)
-    first = np.ones(order.size, dtype=bool)
-    np.not_equal(pair_keys[1:], pair_keys[:-1], out=first[1:])
-    sel = order[first]
-    del pair_keys, order, first
-
-    # Row i is kept row sel[i] with its own plane, or its mirror with the
-    # exact negation of that plane when the mirror has the smaller key.
-    flip = flip.take(sel)
-    rows = ids.take(sel, axis=0).astype(np.int64)
-    rows[flip] = mirror.take(sel[flip], axis=0)
-    del ids, mirror
-    planes = planes.take(sel, axis=0)
-    normals = np.ascontiguousarray(planes[:, :n])
-    np.negative(normals, out=normals, where=flip[:, None])
-    return rows, normals, -planes[:, n]
+    _, first = np.unique(np.minimum(own_keys, mirror_keys), return_index=True)
+    return np.where(flip[:, None], mirror, ids).take(first, axis=0).astype(np.int64)
 
 
 def symmetric_hull(points: np.typing.ArrayLike) -> FacetComplex:
     """Facet complex of K = conv{+-P_1, ..., +-P_m}, the P_i the rows of ``points``.
 
-    ``points`` is an (m, n) array or nested list (anything else is a
-    ValueError) whose rows span R^n (rank checked at tolerance 1e-9 on the
-    singular values).  Raises :class:`DegenerateFacetError` when qhull
-    fails or a facet plane passes through the origin or has zero volume;
-    callers treat that as a resample event.  Coplanar points are not
+    ``points`` is an (m, n) array or nested list of finite reals (anything
+    else is a ValueError) whose rows span R^n (rank checked at tolerance
+    1e-9 on the singular values).  Raises :class:`DegenerateFacetError`
+    when qhull fails or a facet plane passes through the origin or has zero
+    volume; callers treat that as a resample event.  Coplanar points are not
     checked here; :func:`validate_complex` reports them.  The complex holds
     one row per antipodal pair, and the other member of each pair is its
     exact mirror (see :class:`FacetComplex`).  Accepts general-position
     non-unit inputs.
     """
+    if np.iscomplexobj(points):
+        raise ValueError("points must be real")
     pts = np.array(points, dtype=float)
     if pts.ndim != 2:
         raise ValueError("points must be a 2-D array of shape (m, n)")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points must be finite")
     n = pts.shape[1]
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
@@ -328,26 +319,29 @@ def symmetric_hull(points: np.typing.ArrayLike) -> FacetComplex:
     if sv.size < n or sv[n - 1] <= SPAN_TOL:
         raise DegenerateCloudError("degenerate: points do not span")
 
-    sym = np.vstack([pts, -pts])
-    ids, normals, dists = _facet_table(sym)
-    if np.any(dists <= 1e-12):
-        raise DegenerateFacetError(
-            "degenerate: perturbation required (facet plane through origin)"
-        )
-
-    # (n-1)-volume through the cone determinant: the simplex conv(0, F) has
-    # volume |det[Q_1 ... Q_n]| / n! = dist * |F| / n, so
-    # |F| = |det V| / ((n-1)! * dist).  Equivalent to the Gram-determinant
-    # form sqrt(det G)/(n-1)! but without squaring the conditioning (the
-    # tests pin the two routes together).  Cross sums and cone second
-    # moments as in :mod:`isohull.moments`; the antipodal facet has the
+    # Each row's plane <x, a> = 1 through its vertices V solves V a = 1, so
+    # its distance is 1/|a| and a points outward (the origin is inside).
+    # The cone conv(0, F) has volume |det V| / n! = dist * |F| / n, so
+    # |F| = |det V| |a| / (n-1)!, without the Gram determinant's squared
+    # conditioning (the tests pin the two routes together).  Cross sums and
+    # cone second moments as in :mod:`isohull.moments`; the mirror has the
     # same volume, cross sum and second-moment matrix.
+    sym = np.vstack([pts, -pts])
+    ids = _facet_table(sym)
     P = ids.shape[0]
+    normals, dists = np.empty((P, n)), np.empty(P)
     volumes, cross, second = np.empty(P), np.empty(P), np.zeros((n, n))
     scale = math.factorial(n - 1)
     for blk in facet_blocks(P, n * n):
         V = sym.take(ids[blk], axis=0)
-        volumes[blk] = np.abs(np.linalg.det(V)) / (scale * dists[blk])
+        try:
+            a = np.linalg.solve(V, np.ones(n))
+        except np.linalg.LinAlgError as exc:
+            raise _degenerate("facet plane through origin") from exc
+        length = np.sqrt(np.einsum("fi,fi->f", a, a))
+        dists[blk] = 1.0 / length
+        np.multiply(a, dists[blk, None], out=normals[blk])
+        volumes[blk] = np.abs(np.linalg.det(V)) * length / scale
         s = V.sum(axis=1)
         cross[blk] = np.einsum("fi,fi->f", s, s) - np.einsum("fki,fki->f", V, V)
         # sum_f w_f (sum_k v v^T + s s^T) as two flat matrix products
@@ -355,10 +349,10 @@ def symmetric_hull(points: np.typing.ArrayLike) -> FacetComplex:
         second += V.reshape(-1, n).T @ (V * w[:, None, None]).reshape(-1, n)
         second += s.T @ (s * w[:, None])
     second *= 2.0
+    if not np.all(dists > 1e-12):
+        raise _degenerate("facet plane through origin")
     if np.any(volumes <= 1e-14):
-        raise DegenerateFacetError(
-            "degenerate: perturbation required (zero-volume facet)"
-        )
+        raise _degenerate("zero-volume facet")
     return FacetComplex(n, pts, ids, normals, dists, volumes, cross, second)
 
 

@@ -24,6 +24,7 @@ from isohull.harness import (
     ExperimentConfig,
     TrialRecord,
     cell_points,
+    check_cell,
     check_inradius_bound,
     check_isotropy_threshold,
     check_second_moment_bound,
@@ -228,6 +229,30 @@ class TestRunTrial:
     def test_rejects_seed_outside_64_bits(self, seed):
         with pytest.raises(ConfigError, match="seed"):
             run_trial(3, 6, seed)
+
+    @pytest.mark.parametrize(
+        "args, kwargs, what",
+        [
+            ((3.0, 6, 1), {}, "n"),
+            ((3, np.int64(6), 1), {}, "m"),
+            ((True, 6, 1), {}, "n"),
+            ((3, 6, 1.5), {}, "seed"),
+            ((3, 6, 1.0), {}, "seed"),
+            ((3, 6, 1), {"oracle_samples": 2.5}, "oracle_samples"),
+            ((3, 6, 1), {"trial_index": "0"}, "trial_index"),
+        ],
+        ids=["float-n", "numpy-m", "bool-n", "float-seed", "integral-float-seed",
+             "float-oracle-samples", "str-trial-index"],
+    )
+    def test_rejects_non_int_arguments_before_sampling(self, monkeypatch, args, kwargs, what):
+        monkeypatch.setattr(harness, "sample_symmetric_cloud", injected_failure)
+        with pytest.raises(ConfigError, match=f"^{what} must be an integer"):
+            run_trial(*args, **kwargs)
+
+    @pytest.mark.parametrize("n, m", [(3.0, 6), (3, 6.0), (3, None)])
+    def test_check_cell_takes_ints_only(self, n, m):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            check_cell(n, m)
 
     def test_rejects_negative_oracle_samples_before_sampling(self, monkeypatch):
         monkeypatch.setattr(harness, "sample_symmetric_cloud", injected_failure)

@@ -31,7 +31,7 @@ from isohull.hull import (
     symmetric_hull,
     validate_complex,
 )
-from isohull.harness import derive_seed
+from isohull.harness import derive_seed, run_trial
 from isohull.sphere_stats import sample_symmetric_cloud
 from conftest import implied_facets, random_complex
 from oracles import brute_force_facets, dense_facet_figures
@@ -157,6 +157,24 @@ class TestConstruction:
         with pytest.raises(ValueError, match="2-D array"):
             symmetric_hull(np.ones(shape))
 
+    @pytest.mark.parametrize(
+        "entry, match",
+        [(np.nan, "finite"), (np.inf, "finite"), (-np.inf, "finite"), (1 + 0j, "real")],
+        ids=["NaN", "inf", "-inf", "complex"],
+    )
+    def test_points_must_be_finite_and_real(self, entry, match):
+        points = sample_symmetric_cloud(3, 7, 5).astype(np.result_type(entry, float))
+        points[2, 1] = entry
+        with pytest.raises(ValueError, match=match):
+            symmetric_hull(points)
+
+    def test_facet_through_a_point_and_its_antipode_is_degenerate(self, monkeypatch):
+        # V holds P_0 and -P_0, so V a = 1 has no solution: a resample
+        # event, not a trial failure
+        monkeypatch.setattr(hull, "_facet_table", lambda sym: np.array([[0, 1, 7]]))
+        with pytest.raises(DegenerateFacetError, match="plane through origin"):
+            symmetric_hull(sample_symmetric_cloud(3, 7, 5))
+
     def test_nested_list_is_an_array(self):
         points = sample_symmetric_cloud(3, 7, 5)
         fc = symmetric_hull(points.tolist())
@@ -248,14 +266,16 @@ class TestApexAxis:
     def test_axis_ignores_power_of_two_scales(self):
         base = sample_symmetric_cloud(5, 15, 6)
         d = hull._apex_axis(base)
-        for k in (-20, -1, 3, 20):
+        # the cubes of 2^900-scaled entries overflow unless the base is
+        # brought to unit scale first
+        for k in (-900, -20, -1, 3, 20, 900):
             assert np.array_equal(hull._apex_axis(base * 2.0**k), d)
 
     def test_axis_apex_cuts_qhull_rows_at_8_24(self, monkeypatch):
         # qhull's rows are the cone facets over the silhouette of K seen from
         # the apex plus the facets of K it cannot hide; the axis apex sees
         # a smaller silhouette than e_1's (about 0.92 of the rows on these
-        # clouds), and the complex is the same
+        # clouds), and the complex is the same to the bit
         n, m = 8, 24
         clouds = [sample_symmetric_cloud(n, m, derive_seed(23, [n, m, t])) for t in range(10)]
         returned = qhull_rows(monkeypatch)
@@ -265,8 +285,17 @@ class TestApexAxis:
         counts = [r.shape[0] for _, r in returned]
         assert sum(counts[:10]) <= 0.95 * sum(counts[10:])
         for a, b in zip(axis, e_1):
-            assert np.array_equal(a.vertex_ids, b.vertex_ids)
-            assert np.abs(a.normals - b.normals).max() <= 1e-12
+            for name in ("vertex_ids", "normals", "dists", "volumes"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+    def test_records_do_not_depend_on_the_apex(self, monkeypatch):
+        # qhull only names the facets, and the planes come from the id
+        # rows, so another apex gives the same record bytes
+        cells = [(2, 3), (3, 6), (4, 12), (5, 15), (6, 18), (7, 56), (8, 24)]
+        trials = [(n, m, seed) for n, m in cells for seed in (1, 2, 3)]
+        axis = [run_trial(*t).to_csv_row() for t in trials]
+        monkeypatch.setattr(hull, "_apex_axis", lambda base: np.eye(base.shape[1])[0])
+        assert [run_trial(*t).to_csv_row() for t in trials] == axis
 
     def test_axis_bits_do_not_depend_on_the_openblas_core(self):
         # einsum and elementwise steps only: no BLAS call, so another
@@ -297,8 +326,8 @@ class TestQhullCall:
 
     @pytest.mark.parametrize("n, m", [(2, 5), (3, 7), (4, 9), (5, 11), (6, 13), (7, 15), (8, 24)])
     def test_facet_arrays_equal_convex_hulls(self, n, m):
-        # the implied facets are exactly the full hull's; every plane is a
-        # qhull plane of another insertion history, or its partner's negated one
+        # the implied facets are exactly the full hull's, and the planes
+        # solved from the id rows agree with qhull's own planes
         cloud = sample_symmetric_cloud(n, m, derive_seed(14, [n, m]))
         full = implied_in_key_order(symmetric_hull(cloud))
         ref = ConvexHull(np.vstack([cloud, -cloud]), qhull_options="Q0")
@@ -374,22 +403,22 @@ class TestQhullCall:
         k=st.integers(-20, 20),
     )
     def test_half_hull_equals_the_full_hull_at_every_scale(self, n, data, seed, k):
-        # powers of two scale every coordinate exactly, so the complex built
-        # at scale 2^k, scaled back, is judged with tolerances relative to
-        # the body (the absolute ones fail small bodies on their own)
+        # powers of two scale every coordinate exactly; qhull's id rows at
+        # scale 2^k are the rows of the validated unit-scale complex (the
+        # absolute tolerances fail small bodies on their own, so the planes
+        # are judged at unit scale only)
         m = data.draw(st.integers(n + 1, 3 * n), label="m")
         cloud = sample_symmetric_cloud(n, m, seed)
         sym = np.vstack([cloud, -cloud]) * 2.0**k
-        ids, normals, dists = hull._facet_table(sym)
+        ids = hull._facet_table(sym)
         fc = symmetric_hull(cloud)
+        assert validate_complex(fc).passed
         assert np.array_equal(ids, fc.vertex_ids)
         assert np.array_equal(implied_in_key_order(fc)["ids"], full_hull_ids(sym))
         # one row per pair, the member of smaller key, rows in key order
         keys = _row_keys(ids, 2 * m)
         assert np.all(keys[1:] > keys[:-1])
         assert np.all(keys < _row_keys(np.sort((ids + m) % (2 * m), axis=1), 2 * m))
-        scaled = dataclasses.replace(fc, normals=normals, dists=dists * 2.0**-k)
-        assert validate_complex(scaled).passed
 
     def test_near_apex_returns_pairs_whole(self, monkeypatch):
         # an apex at half the reach lies just outside K (K is in the unit
@@ -408,9 +437,8 @@ class TestQhullCall:
         whole = set(kept) & {frozenset((i + 15) % 30 for i in r) for r in kept}
         assert len(kept) == len(set(kept)) > 0.75 * fc.facet_count
         assert len(whole) > 0.5 * fc.facet_count
-        assert np.array_equal(near.vertex_ids, fc.vertex_ids)
-        assert np.abs(near.normals - fc.normals).max() <= 1e-12
-        assert np.abs(near.dists - fc.dists).max() <= 1e-12
+        for name in ("vertex_ids", "normals", "dists", "volumes"):
+            assert np.array_equal(getattr(near, name), getattr(fc, name)), name
         assert validate_complex(near).passed
 
 
