@@ -27,15 +27,11 @@ depends on the direction d.  d is a local maximiser of the fourth moment
 sum_i <P_i, d>^4 of the m base points, reached by ``_AXIS_STEPS`` = 10
 power steps d <- sum_i <P_i, d>^3 P_i / norm from e_1, in fixed-order
 einsums and elementwise operations only (no BLAS, no convergence test), so
-its bits depend on neither the OpenBLAS core nor a tolerance; it costs
-about 85 us a trial.  On perfbench's 22 reference (8, 64) clouds qhull
-then returns 0.96 of the rows the e_1 apex gives (fewer on every cloud,
-and about 12% fewer cone rows), about 0.71 F rows in place of F; at (8, 24)
-it is 0.92 and at (7, 56) 0.97.  Principal and l1 axes also cut rows, but
-fewer.  Along d the count is flat beyond R = 100 (a mean of 97.8k, 97.1k and
-96.9k rows at R = 30, 100 and 1000 over six of those clouds), and a
-farther apex gains nothing, since qhull's roundoff grows with the
-largest coordinate.
+its bits depend on neither the OpenBLAS core nor a tolerance.  Along it
+qhull returns fewer rows than along e_1 or the principal and l1 axes, and
+at (8, 64) about 0.71 F rows in place of F.  Along d the count is flat
+beyond R = 100, and a farther apex gains nothing, since qhull's roundoff
+grows with the largest coordinate.
 
 qhull builds K top-down along d.  The hull starts from the apex and the n
 points highest along d, and the other 2m - n points go in by decreasing
@@ -44,30 +40,31 @@ option ``Q11`` there).  A one-shot build picks its own insertion order,
 the furthest outside point of a facet first, so the order of its input
 changes nothing; ``add_points`` follows this one.  A point added far from
 the apex sees only a small region of the hull built so far, so qhull
-makes fewer transient facets on the way; the hull it returns is the
-same.  On perfbench's 22 reference (8, 64) clouds, one fresh process
-each, the resident memory that the build plus qhull's arrays add fell
-from 49.3 to 46.7 MB at the maximum (lower on 22 of 22), and their time
-from a median of 608 to 571 ms (faster on 14 of 22).  The heights are
-einsums, not a BLAS product.  qhull's input row 0 is the apex and row i
-the i-th highest point; only the rows kept after dropping the cones are
+makes fewer transient facets on the way, which lowers the memory peak;
+the hull it returns is the same.  The heights are einsums, not a BLAS
+product.  qhull's input row 0 is the apex and row i the i-th highest
+point; only the rows kept after dropping those through the apex are
 mapped back to point ids.
 
 qhull is called through scipy's private ``scipy.spatial._qhull._Qhull``,
 with the steps of ``ConvexHull(points, incremental=True)`` and its
 ``add_points`` except the total volume and area (qhull's ``qh_getarea``
-over every facet, about 0.1 s of an (8, 64) hull, never read here) and
-the copy of the points.  ``TestQhullCall`` in ``tests/test_hull.py`` pins
-the call: the implied facets equal ``ConvexHull``'s without the apex, its
-planes agree with the solved ones within 1e-12, the input is in the order
-above, ``volume_area`` is never called and ``close`` always is, so a
-scipy release that changes the private entry point fails there.
+over every facet, never read here) and the copy of the points.
+``TestQhullCall`` in ``tests/test_hull.py`` pins the call: the implied
+facets equal ``ConvexHull``'s without the apex, its planes agree with the
+solved ones within 1e-12, the input is in the order above,
+``volume_area`` is never called and ``close`` always is, so a scipy
+release that changes the private entry point fails there.
 
-Central symmetry, ridge pairing, containment and simpliciality are then
-re-checked post hoc by :func:`validate_complex`, which is independent of
-the construction path.  A detected coplanarity (more than n points on one
-facet's hyperplane) fails validation, so the caller can resample with a
-fresh derived seed instead of perturbing coordinates.
+Central symmetry, ridge pairing, containment, simpliciality and thin
+facets are then judged post hoc by :func:`validate_complex` alone, which
+is independent of the construction path.  A coplanarity (more than n
+points on one facet's hyperplane), or a facet whose distance or
+(n-1)-volume n * cone / dist is at or below ``DISTANCE_FLOOR`` or
+``FACET_VOLUME_FLOOR``, fails validation, so the caller can resample with
+a fresh derived seed instead of perturbing coordinates.
+:func:`symmetric_hull` raises only for what it cannot compute: a qhull
+failure, a cloud that does not span, or a singular V.
 
 Each facet is identified by one uint64 key, the lexicographic rank of its
 sorted vertex ids among all n-subsets of the 2m ids (combinatorial number
@@ -78,12 +75,13 @@ point i, so the antipode of every vertex is exact by construction; the
 plane sweep visits only the m points and each row once for itself and
 its mirror.
 
-The two facets of a pair have equal (n-1)-volume, distance and cone
-moments, so every per-facet array holds P = F/2 rows.  One pass over the
-rows, in blocks of about ``_BLOCK_FLOATS`` float64s per temporary, gathers
-each row's vertices once and gives its plane, volume, cross sum and cone
-second moment (read by :mod:`isohull.moments`), so no (F, n, n) gather is
-ever held and no BLAS product is large enough to wake OpenBLAS threads.
+The two facets of a pair have equal distance and cone moments, so every
+per-facet array holds P = F/2 rows.  One pass over the rows, in blocks of
+about ``_BLOCK_FLOATS`` float64s per temporary, gathers each row's
+vertices V once and gives its plane, its cone volume |det V|/n!, its cross
+sum and its cone second moment (read by :mod:`isohull.moments`, where
+|K| = 2 sum cones), so no (F, n, n) gather is ever held and no BLAS
+product is large enough to wake OpenBLAS threads.
 
 :class:`InvalidComplexError` is a structural fault; a covariance that is
 not positive-definite is ``NotSPDError`` from the one SPD gate,
@@ -119,6 +117,10 @@ SPAN_TOL = 1e-9
 COPLANARITY_TOL = 1e-9
 CONTAINMENT_TOL = 1e-9
 UNIT_VERTEX_TOL = 1e-9
+# A facet is degenerate at or below either floor, of its distance or of its
+# (n-1)-volume n * cone / dist; only validate_complex reads them.
+DISTANCE_FLOOR = 1e-12
+FACET_VOLUME_FLOOR = 1e-14
 OFFENDING_LIMIT = 16  # facet indices a check reports
 
 # Float64s per temporary in every blocked facet pass (128 KB): a block of
@@ -149,7 +151,7 @@ class DegenerateCloudError(ValueError):
 
 
 class DegenerateFacetError(RuntimeError):
-    """qhull failed or gave a degenerate facet; the trial should be resampled."""
+    """qhull failed or a facet's vertices are linearly dependent; resample the trial."""
 
 
 def _degenerate(reason) -> DegenerateFacetError:
@@ -166,24 +168,28 @@ class FacetComplex:
 
     ``points`` holds the m generators P_i of K = conv{+-P_i}; vertex id i
     names P_i for i < m and -P_(i-m) otherwise (the rows of ``vertices``).
-    Row i of ``vertex_ids``, ``normals``, ``dists``, ``volumes`` and
+    Row i of ``vertex_ids``, ``normals``, ``dists``, ``cones`` and
     ``cross_sums`` is the facet F of its pair F, -F with the smaller key,
     and rows are in key order; its plane <x, a> = 1 solves V a = 1 for its
-    vertices V.  The facet -F is implied: its id row is sort((ids + m) mod
-    2m), its normal is -normals[i], and its distance, volume and cross sum
-    are row i's.  ``facet_count`` counts both members of every pair, and
-    ``cone_second`` sums over all of them.
+    vertices V, and its cone conv(0, F) has volume |det V| / n!.  The facet
+    -F is implied: its id row is sort((ids + m) mod 2m), its normal is
+    -normals[i], and its distance, cone and cross sum are row i's.
+    ``facet_count`` counts both members of every pair, and ``cone_second``
+    sums over all of them.
     Instances are immutable by convention and safe to share across threads.
     """
 
-    n: int
     points: np.ndarray  # (m, n)
     vertex_ids: np.ndarray  # (P, n) int64, rows sorted
     normals: np.ndarray  # (P, n) unit outward
     dists: np.ndarray  # (P,) > 0
-    volumes: np.ndarray  # (P,) > 0
+    cones: np.ndarray  # (P,) volume of conv(0, F)
     cross_sums: np.ndarray  # (P,) sum over i != j of <Q_i, Q_j>
     cone_second: np.ndarray  # (n, n) sum over all 2P facets of int_conv(0,F) x x^T
+
+    @property
+    def n(self) -> int:
+        return int(self.points.shape[1])
 
     @property
     def facet_count(self) -> int:
@@ -197,10 +203,6 @@ class FacetComplex:
     def vertices(self) -> np.ndarray:
         """The 2m-row vertex table the ids index: the points, then their negations."""
         return np.vstack([self.points, -self.points])
-
-    def cone_volumes(self) -> np.ndarray:
-        """Volume of each row's cone conv(0, F), and its mirror's: dist * facet_volume / n."""
-        return self.dists * self.volumes / self.n
 
     def is_unit(self) -> bool:
         """Every vertex norm is 1 within UNIT_VERTEX_TOL (the closed forms' domain)."""
@@ -298,12 +300,12 @@ def symmetric_hull(points: np.typing.ArrayLike) -> FacetComplex:
     ``points`` is an (m, n) array or nested list of finite reals (anything
     else is a ValueError) whose rows span R^n (rank checked at tolerance
     1e-9 on the singular values).  Raises :class:`DegenerateFacetError`
-    when qhull fails or a facet plane passes through the origin or has zero
-    volume; callers treat that as a resample event.  Coplanar points are not
-    checked here; :func:`validate_complex` reports them.  The complex holds
-    one row per antipodal pair, and the other member of each pair is its
-    exact mirror (see :class:`FacetComplex`).  Accepts general-position
-    non-unit inputs.
+    when qhull fails or a facet's vertices are linearly dependent (its
+    plane passes through the origin); callers treat that as a resample
+    event.  Thin facets and coplanar points are not judged here;
+    :func:`validate_complex` reports them.  The complex holds one row per
+    antipodal pair, and the other member of each pair is its exact mirror
+    (see :class:`FacetComplex`).  Accepts general-position non-unit inputs.
     """
     if np.iscomplexobj(points):
         raise ValueError("points must be real")
@@ -321,39 +323,32 @@ def symmetric_hull(points: np.typing.ArrayLike) -> FacetComplex:
 
     # Each row's plane <x, a> = 1 through its vertices V solves V a = 1, so
     # its distance is 1/|a| and a points outward (the origin is inside).
-    # The cone conv(0, F) has volume |det V| / n! = dist * |F| / n, so
-    # |F| = |det V| |a| / (n-1)!, without the Gram determinant's squared
-    # conditioning (the tests pin the two routes together).  Cross sums and
-    # cone second moments as in :mod:`isohull.moments`; the mirror has the
-    # same volume, cross sum and second-moment matrix.
+    # The cone conv(0, F) has volume |det V| / n!.  Cross sums and cone
+    # second moments as in :mod:`isohull.moments`; the mirror has the same
+    # cone, cross sum and second-moment matrix.
     sym = np.vstack([pts, -pts])
     ids = _facet_table(sym)
     P = ids.shape[0]
     normals, dists = np.empty((P, n)), np.empty(P)
-    volumes, cross, second = np.empty(P), np.empty(P), np.zeros((n, n))
-    scale = math.factorial(n - 1)
+    cones, cross, second = np.empty(P), np.empty(P), np.zeros((n, n))
+    scale = math.factorial(n)
     for blk in facet_blocks(P, n * n):
         V = sym.take(ids[blk], axis=0)
         try:
             a = np.linalg.solve(V, np.ones(n))
         except np.linalg.LinAlgError as exc:
             raise _degenerate("facet plane through origin") from exc
-        length = np.sqrt(np.einsum("fi,fi->f", a, a))
-        dists[blk] = 1.0 / length
+        dists[blk] = 1.0 / np.sqrt(np.einsum("fi,fi->f", a, a))
         np.multiply(a, dists[blk, None], out=normals[blk])
-        volumes[blk] = np.abs(np.linalg.det(V)) * length / scale
+        cones[blk] = np.abs(np.linalg.det(V)) / scale
         s = V.sum(axis=1)
         cross[blk] = np.einsum("fi,fi->f", s, s) - np.einsum("fki,fki->f", V, V)
         # sum_f w_f (sum_k v v^T + s s^T) as two flat matrix products
-        w = dists[blk] * volumes[blk] / (n * (n + 1.0) * (n + 2.0))
+        w = cones[blk] / ((n + 1.0) * (n + 2.0))
         second += V.reshape(-1, n).T @ (V * w[:, None, None]).reshape(-1, n)
         second += s.T @ (s * w[:, None])
     second *= 2.0
-    if not np.all(dists > 1e-12):
-        raise _degenerate("facet plane through origin")
-    if np.any(volumes <= 1e-14):
-        raise _degenerate("zero-volume facet")
-    return FacetComplex(n, pts, ids, normals, dists, volumes, cross, second)
+    return FacetComplex(pts, ids, normals, dists, cones, cross, second)
 
 
 @dataclass(frozen=True)
@@ -451,15 +446,17 @@ def validate_complex(fc: FacetComplex) -> ComplexDiagnostics:
     R is the complex's rows and -R their mirrors (see :class:`FacetComplex`).
     Pure; returns a per-check report with offending row indices of R
     instead of raising.  Checks: facet vertices lie on their hyperplane, no
-    facet contains an antipodal pair, distances are positive (and at most 1
-    for unit-vertex complexes), id rows are strictly increasing and every
-    ridge of R u -R is shared by exactly two of its facets, the 2P facets
-    of R u -R are distinct (``central_symmetry``), all points lie on the
-    inner side of every facet, no facet's hyperplane carries more than n
-    points (a coplanar, non-simplicial facet that qhull triangulated), and
-    the cone decomposition has positive total measure.  The complex stores
-    only the m points, so every mirror vertex is an exact negation by
-    construction and no check compares vertex rows.
+    facet contains an antipodal pair, distances are above DISTANCE_FLOOR
+    (and at most 1 for unit-vertex complexes), id rows are strictly
+    increasing and every ridge of R u -R is shared by exactly two of its
+    facets, the 2P facets of R u -R are distinct (``central_symmetry``),
+    all points lie on the inner side of every facet, no facet's hyperplane
+    carries more than n points (a coplanar, non-simplicial facet that qhull
+    triangulated), and every facet's (n-1)-volume n * cone / dist is above
+    FACET_VOLUME_FLOOR (``positive_measure``).  A NaN residual, slack,
+    distance or cone fails its check.  The complex stores only the m
+    points, so every mirror vertex is an exact negation by construction and
+    no check compares vertex rows.
 
     The point-side checks (``vertex_on_plane``, ``containment`` and
     ``simplicial``) sweep each row of R once, against the m points.  The
@@ -498,12 +495,12 @@ def validate_complex(fc: FacetComplex) -> ComplexDiagnostics:
     residual, viol, on_plane = _plane_sweep(fc)
     vertex_on_plane = _result(
         "vertex_on_plane",
-        np.flatnonzero(residual > CONTAINMENT_TOL),
+        np.flatnonzero(~(residual <= CONTAINMENT_TOL)),
         f"max residual {residual.max():.3e}" if P else "",
     )
     containment = _result(
         "containment",
-        np.flatnonzero(viol > CONTAINMENT_TOL),
+        np.flatnonzero(~(viol <= CONTAINMENT_TOL)),
         f"max slack {viol.max():.3e}" if P else "",
     )
     simplicial = _result(
@@ -513,7 +510,7 @@ def validate_complex(fc: FacetComplex) -> ComplexDiagnostics:
     )
     del residual, viol, on_plane
 
-    dist_ok = fc.dists > 0.0
+    dist_ok = fc.dists > DISTANCE_FLOOR
     if fc.is_unit():
         dist_ok &= fc.dists <= 1.0 + CONTAINMENT_TOL
 
@@ -555,7 +552,10 @@ def validate_complex(fc: FacetComplex) -> ComplexDiagnostics:
         twice = counts[inverse] > 1
         repeated = np.flatnonzero(twice[:P] | twice[P:])
 
-    total = float(np.sum(fc.dists * fc.volumes))
+    # n * cone / dist > floor without dividing; a distance at or below its
+    # floor fails distance_in_range
+    thick = n * fc.cones > FACET_VOLUME_FLOOR * fc.dists
+    volume = 2.0 * float(np.sum(fc.cones))
     return ComplexDiagnostics(
         (
             vertex_on_plane,
@@ -574,8 +574,8 @@ def validate_complex(fc: FacetComplex) -> ComplexDiagnostics:
             simplicial,
             CheckResult(
                 "positive_measure",
-                P > 0 and bool(np.all(fc.volumes > 0.0)) and total > 0.0,
-                detail=f"sum dist*vol = {total:.6e}",
+                P > 0 and bool(np.all(thick)) and 0.0 < volume < math.inf,
+                detail=f"volume {volume:.6e}",
             ),
         )
     )

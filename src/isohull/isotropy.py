@@ -57,27 +57,28 @@ def isotropy_constant(volume: float, covariance: np.ndarray) -> IsotropyReport:
     sqrt(trace(covariance) / (n volume^{2/n})), so l_k <= identity_bound
     always, with equality exactly when the covariance is isotropic.
     Both quantities are invariant under rotations and scalings of the body.
-    Raises :class:`NotSPDError` when the covariance is not symmetric, its
-    Cholesky fails or a pivot is at or below PIVOT_TOL.
+    A volume that is not finite and positive, or a covariance that is not
+    a non-empty square matrix, is a ValueError.  Raises
+    :class:`NotSPDError` when the covariance has a non-finite entry, is not
+    symmetric, its Cholesky fails or a pivot is not above PIVOT_TOL.
     """
-    if volume <= 0.0:
-        raise ValueError(f"volume must be positive, got {volume}")
+    if not 0.0 < volume < math.inf:
+        raise ValueError(f"volume must be finite and positive, got {volume}")
     cov = np.asarray(covariance, dtype=float)
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.size == 0:
+        raise ValueError(f"covariance must be a square matrix, got shape {cov.shape}")
     n = cov.shape[0]
-    if float(np.abs(cov - cov.T).max()) > SYMMETRY_TOL:
-        raise NotSPDError("not SPD: matrix is not symmetric")
+    if not (np.all(np.isfinite(cov)) and float(np.abs(cov - cov.T).max()) <= SYMMETRY_TOL):
+        raise NotSPDError("not SPD: matrix has a non-finite entry or is not symmetric")
     try:
         L = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
         raise NotSPDError(f"not SPD: {exc}") from exc
     pivots = np.diag(L) ** 2
-    if np.any(pivots <= PIVOT_TOL):
+    if not np.all(pivots > PIVOT_TOL):
         raise NotSPDError(f"not SPD: pivot {pivots.min():.3e} at or below {PIVOT_TOL}")
     det = float(np.prod(np.diag(L))) ** 2
     vol_root = volume ** (1.0 / n)
     l_k = det ** (0.5 / n) / volume ** (1.0 / n)
-    mean_square = float(np.trace(cov))
-    identity_bound = math.sqrt(mean_square / (n * volume ** (2.0 / n)))
-    return IsotropyReport(
-        l_k=l_k, identity_bound=identity_bound, vol_root=vol_root, det_cov=det
-    )
+    identity_bound = math.sqrt(float(np.trace(cov)) / (n * volume ** (2.0 / n)))
+    return IsotropyReport(l_k=l_k, identity_bound=identity_bound, vol_root=vol_root, det_cov=det)

@@ -1,25 +1,22 @@
 """Exact volume and second moments of the polytope via cone decomposition.
 
-Writing the symmetric polytope K as the union of cones conv(0, F) over its
-boundary facets gives
-
-    n |K|            = sum_i d(0, F_i) |F_i|
-    integral_K |x|^2 = sum_i d(0, F_i) / (n + 2) * integral_{F_i} |y|^2 dy
-
-and the facet integral has a closed form in the pairwise inner products of
-the facet vertices.  The full second-moment matrix of each cone is the
-standard simplex formula
+Writing the symmetric polytope K as the union of cones C_i = conv(0, F_i)
+over its boundary facets, with |C_i| = |det V_i| / n! for the facet's
+vertices V_i, gives |K| = sum_i |C_i|.  The second-moment matrix of each
+cone is the standard simplex formula
 
     integral_C x x^T dx = |C| / ((n+1)(n+2)) * (sum_k v_k v_k^T + s s^T),
 
-s = sum_k v_k, which reduces to the scalar decomposition on the trace.
+s = sum_k v_k, whose trace for unit vertices is
+|C| (2n + cross) / ((n+1)(n+2)), cross = |s|^2 - n the facet's cross sum.
 
 The facets of the symmetric body come in antipodal pairs F, -F whose cones
 have the same volume, cross sum and second-moment matrix, and a
 :class:`FacetComplex` holds one row per pair.  The facet pass of
-:func:`isohull.hull.symmetric_hull` stores the cross sums and the cone
-second-moment sum on the complex; the volume and the mean square are sums
-over every row, doubled.
+:func:`isohull.hull.symmetric_hull` stores the cone volumes, the cross sums
+and the cone second-moment sum on the complex, so |K| = 2 sum cones and the
+mean square is a sum over every row, doubled.  Whether a facet is too thin
+to count is :func:`isohull.hull.validate_complex`'s verdict alone.
 
 A Monte Carlo oracle (rejection volume for n <= 5, exact in-polytope
 samples from :func:`sample_in_polytope` for the moments) provides an
@@ -71,11 +68,8 @@ def facet_cross_sums(fc: FacetComplex) -> np.ndarray:
 
 
 def polytope_volume(fc: FacetComplex) -> float:
-    """|K| from the cone decomposition: (1/n) sum_i dist_i * |F_i|.
-
-    Summed over one facet per antipodal pair and doubled.
-    """
-    vol = 2.0 * float(np.sum(fc.dists * fc.volumes)) / fc.n
+    """|K| from the cone decomposition: 2 sum cones, one cone per antipodal pair."""
+    vol = 2.0 * float(np.sum(fc.cones))
     if vol <= 0.0:
         raise InvalidComplexError(f"non-positive volume {vol}")
     return vol
@@ -84,19 +78,18 @@ def polytope_volume(fc: FacetComplex) -> float:
 def polytope_mean_square(fc: FacetComplex) -> float:
     """(1/|K|) int_K |x|^2 dx, exactly, for unit-vertex complexes.
 
-    Sums dist_i/(n+2) * |F_i| * fms_i over one facet per antipodal pair,
-    doubles it and divides by the volume.  Each facet mean square fms_i is
-    the closed form 2/(n+1) + cross_i/(n(n+1)), valid only for unit
-    vertices (:meth:`FacetComplex.is_unit`); general-vertex complexes must
-    go through trace(polytope_covariance) instead.
+    Sums cone_i (2n + cross_i) / ((n+1)(n+2)), the trace of each cone's
+    second moment, over one facet per antipodal pair, doubles it and
+    divides by the volume.  The closed form holds only for unit vertices
+    (:meth:`FacetComplex.is_unit`); general-vertex complexes must go
+    through trace(polytope_covariance) instead.
     """
     if not fc.is_unit():
         raise UnitVertexError(
             "closed form requires unit vertices; use the covariance path for general vertices"
         )
     n = fc.n
-    fms = 2.0 / (n + 1) + fc.cross_sums / (n * (n + 1))
-    contrib = fc.dists / (n + 2.0) * fc.volumes * fms
+    contrib = fc.cones * (2.0 * n + fc.cross_sums) / ((n + 1.0) * (n + 2.0))
     return 2.0 * float(contrib.sum()) / polytope_volume(fc)
 
 
@@ -120,7 +113,7 @@ def sample_in_polytope(fc: FacetComplex, count: int, stream: RngStream) -> np.nd
     simply dropped).  A point in a mirror's cone is the negation of one in
     its row's.
     """
-    cones = fc.cone_volumes()
+    cones = fc.cones
     cdf = np.cumsum(np.concatenate([cones, cones]))
     cdf /= cdf[-1]
     idx = np.searchsorted(cdf, stream.uniform(count), side="right")

@@ -199,7 +199,8 @@ def psi2_norm_estimate(values: Sequence[float] | np.ndarray) -> float:
     Returns the smallest lambda > 0 such that mean(exp(v^2 / lambda^2)) <= 2,
     located by bisection to relative tolerance 1e-6 after geometric bracket
     growth.  The all-zero sample has norm 0; an empty or non-finite sample
-    raises ValueError.
+    raises ValueError.  The search runs on v / 2^e, max |v| / 2^e in [1/2, 1),
+    where v^2 cannot overflow or underflow, and scales back exactly by 2^e.
     """
     v = np.abs(np.asarray(values, dtype=float)).ravel()
     if v.size == 0:
@@ -209,7 +210,8 @@ def psi2_norm_estimate(values: Sequence[float] | np.ndarray) -> float:
     vmax = float(v.max())
     if vmax == 0.0:
         return 0.0
-    sq = v * v
+    exponent = math.frexp(vmax)[1]
+    sq = np.ldexp(v, -exponent) ** 2
 
     def satisfied(lam: float) -> bool:
         expo = sq / (lam * lam)
@@ -217,7 +219,7 @@ def psi2_norm_estimate(values: Sequence[float] | np.ndarray) -> float:
             return False  # a single term already exceeds any finite budget
         return float(np.exp(expo).mean()) <= 2.0
 
-    hi = vmax
+    hi = math.ldexp(vmax, -exponent)
     while not satisfied(hi):
         hi *= 2.0
     lo = 0.5 * hi
@@ -230,7 +232,7 @@ def psi2_norm_estimate(values: Sequence[float] | np.ndarray) -> float:
             hi = mid
         else:
             lo = mid
-    return hi
+    return math.ldexp(hi, exponent)
 
 
 def bernstein_bound(N: int, eps: float, A: float) -> float:

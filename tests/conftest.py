@@ -25,7 +25,7 @@ def implied_facets(fc: FacetComplex) -> dict[str, np.ndarray]:
     """Every facet of R u -R: the complex's rows, then their mirrors, built row by row.
 
     A mirror's id row is its row's ids moved by m modulo 2m and sorted; its
-    normal is negated, and its distance, volume and cross sum are the row's.
+    normal is negated, and its distance, cone and cross sum are the row's.
     """
     two_m = 2 * fc.num_points
     mirror = [sorted((int(i) + two_m // 2) % two_m for i in row) for row in fc.vertex_ids]
@@ -33,7 +33,7 @@ def implied_facets(fc: FacetComplex) -> dict[str, np.ndarray]:
         "ids": np.concatenate([fc.vertex_ids, np.array(mirror, dtype=np.int64).reshape(-1, fc.n)]),
         "normals": np.concatenate([fc.normals, -fc.normals]),
         "dists": np.concatenate([fc.dists, fc.dists]),
-        "volumes": np.concatenate([fc.volumes, fc.volumes]),
+        "cones": np.concatenate([fc.cones, fc.cones]),
         "cross_sums": np.concatenate([fc.cross_sums, fc.cross_sums]),
     }
 

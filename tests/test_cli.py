@@ -86,6 +86,17 @@ class TestHull:
         header = dump.read_text().splitlines()[0].split()
         assert header[:2] == ["3", "8"]
 
+    def test_thin_facets_print_the_failed_report(self, capsys, monkeypatch):
+        # a cloud scaled to 1e-3 has facets below the volume floor: the
+        # hull is built and its report printed, with the numerical exit
+        cloud = harness.sample_symmetric_cloud(5, 15, 3)
+        monkeypatch.setattr(cli, "sample_symmetric_cloud", lambda n, m, seed: 1e-3 * cloud)
+        code, out, err = run_main(capsys, "hull", "--n", "5", "--m", "15", "--seed", "3")
+        assert code == EXIT_NUMERICAL and err == ""
+        validation = json.loads(out)["validation"]
+        failed = [c["name"] for c in validation["checks"] if not c["passed"]]
+        assert validation["passed"] is False and failed == ["positive_measure"]
+
 
 class TestTrial:
     def test_record_json(self, capsys):

@@ -18,6 +18,8 @@ from isohull import hull
 from isohull.hull import (
     CONTAINMENT_TOL,
     COPLANARITY_TOL,
+    DISTANCE_FLOOR,
+    FACET_VOLUME_FLOOR,
     OFFENDING_LIMIT,
     DegenerateCloudError,
     DegenerateFacetError,
@@ -285,7 +287,7 @@ class TestApexAxis:
         counts = [r.shape[0] for _, r in returned]
         assert sum(counts[:10]) <= 0.95 * sum(counts[10:])
         for a, b in zip(axis, e_1):
-            for name in ("vertex_ids", "normals", "dists", "volumes"):
+            for name in ("vertex_ids", "normals", "dists", "cones"):
                 assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
     def test_records_do_not_depend_on_the_apex(self, monkeypatch):
@@ -437,7 +439,7 @@ class TestQhullCall:
         whole = set(kept) & {frozenset((i + 15) % 30 for i in r) for r in kept}
         assert len(kept) == len(set(kept)) > 0.75 * fc.facet_count
         assert len(whole) > 0.5 * fc.facet_count
-        for name in ("vertex_ids", "normals", "dists", "volumes"):
+        for name in ("vertex_ids", "normals", "dists", "cones"):
             assert np.array_equal(getattr(near, name), getattr(fc, name)), name
         assert validate_complex(near).passed
 
@@ -572,7 +574,7 @@ class TestValidation:
             vertex_ids=octahedron.vertex_ids[1:],
             normals=octahedron.normals[1:],
             dists=octahedron.dists[1:],
-            volumes=octahedron.volumes[1:],
+            cones=octahedron.cones[1:],
         )
         diag = validate_complex(mutant)
         ridge = diag.check("ridge_shared_twice")
@@ -603,6 +605,58 @@ class TestValidation:
         diag = validate_complex(mutant)
         assert not diag.check("containment").passed
         assert diag.check("containment").n_offending >= 1
+
+    def test_nan_normals_fail_the_point_side_checks(self):
+        # a NaN residual or slack compares False against the tolerance, so
+        # the verdicts are written to fail on it
+        fc = random_complex(3, 7, 5)
+        normals = fc.normals.copy()
+        normals[2] = np.nan
+        diag = validate_complex(dataclasses.replace(fc, normals=normals))
+        for name in ("vertex_on_plane", "containment"):
+            assert diag.check(name).offending == (2,), name
+        failed = {c.name for c in diag.checks if not c.passed}
+        assert failed == {"vertex_on_plane", "containment"}
+        everywhere = dataclasses.replace(fc, normals=np.full_like(fc.normals, np.nan))
+        assert not validate_complex(everywhere).passed
+
+    @pytest.mark.parametrize("factor, fails", [(0.5, True), (2.0, False)])
+    def test_distance_floor(self, factor, fails):
+        # row f moved to factor * DISTANCE_FLOOR from the origin, its facet
+        # volume n * cone / dist kept: only distance_in_range judges it
+        # (the sweep also sees the moved plane)
+        fc = random_complex(4, 10, 14)
+        f = 3
+        dists, cones = fc.dists.copy(), fc.cones.copy()
+        cones[f] *= factor * DISTANCE_FLOOR / dists[f]
+        dists[f] = factor * DISTANCE_FLOOR
+        diag = validate_complex(dataclasses.replace(fc, dists=dists, cones=cones))
+        check = diag.check("distance_in_range")
+        assert check.passed is not fails
+        assert check.offending == ((f,) if fails else ())
+        assert diag.check("positive_measure").passed
+
+    @pytest.mark.parametrize("factor, fails", [(0.5, True), (2.0, False)])
+    def test_facet_volume_floor(self, factor, fails):
+        # row f's facet volume n * cone / dist set to factor * the floor:
+        # positive_measure is the only check that reads the cones
+        fc = random_complex(4, 10, 14)
+        f = 3
+        cones = fc.cones.copy()
+        cones[f] = factor * FACET_VOLUME_FLOOR * fc.dists[f] / fc.n
+        diag = validate_complex(dataclasses.replace(fc, cones=cones))
+        assert {c.name for c in diag.checks if not c.passed} == (
+            {"positive_measure"} if fails else set()
+        )
+
+    def test_thin_facets_are_built_and_judged_by_validation(self):
+        # at scale 1e-3 the (5,15) seed-3 cloud's facets are about 3e-16
+        # in volume: symmetric_hull builds the complex, and validation
+        # fails it on positive_measure alone
+        fc = symmetric_hull(1e-3 * sample_symmetric_cloud(5, 15, 3))
+        assert (fc.n * fc.cones / fc.dists).min() <= FACET_VOLUME_FLOOR
+        diag = validate_complex(fc)
+        assert {c.name for c in diag.checks if not c.passed} == {"positive_measure"}
 
     def test_half_sweep_matches_full_slack_matrix(self):
         # reference: the slack of all 2m points against every facet plane
@@ -668,7 +722,7 @@ class TestValidation:
             vertex_ids=fc.vertex_ids[rows],
             normals=fc.normals[rows],
             dists=fc.dists[rows],
-            volumes=fc.volumes[rows],
+            cones=fc.cones[rows],
             cross_sums=fc.cross_sums[rows],
         )
 
@@ -710,7 +764,7 @@ class TestValidation:
     def test_pairs_list_each_pair_once(self):
         # no row's mirror is a row, and each row is the member of smaller
         # key; each mirror, rebuilt on its own ids, lies on its plane and
-        # has its row's volume and cross sum
+        # has its row's cone and cross sum
         fc = random_complex(4, 11, 125)
         two_m = 2 * fc.num_points
         mirror_keys = _row_keys(np.sort((fc.vertex_ids + two_m // 2) % two_m, axis=1), two_m)
@@ -718,10 +772,10 @@ class TestValidation:
         assert np.all(keys < mirror_keys) and not np.isin(mirror_keys, keys).any()
         full = implied_facets(fc)
         V = fc.vertices[full["ids"]]
-        volumes = np.abs(np.linalg.det(V)) / (math.factorial(fc.n - 1) * full["dists"])
+        cones = np.abs(np.linalg.det(V)) / math.factorial(fc.n)
         s = V.sum(axis=1)
         cross = np.einsum("fi,fi->f", s, s) - np.einsum("fki,fki->f", V, V)
-        np.testing.assert_allclose(full["volumes"], volumes, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(full["cones"], cones, rtol=1e-12, atol=0)
         np.testing.assert_allclose(full["cross_sums"], cross, rtol=0, atol=1e-12)
         slack = V @ full["normals"][:, :, None] - full["dists"][:, None, None]
         assert np.abs(slack).max() <= 1e-12
@@ -747,11 +801,12 @@ class TestValidation:
 
     def test_cone_measure_positive(self):
         fc = random_complex(5, 12, 5)
-        assert float(np.sum(fc.dists * fc.volumes)) > 0.0
+        assert float(np.sum(fc.cones)) > 0.0
 
     def test_facet_volumes_match_gram_determinant(self):
-        # production volumes come from the cone determinant; the Gram form
-        # sqrt(det G) / (n-1)! is the independent reference
+        # the facet volume n * cone / dist that positive_measure judges
+        # comes from the cone determinant; the Gram form sqrt(det G) / (n-1)!
+        # is the independent reference
         import math
 
         for n, m, seed in [(2, 5, 61), (3, 7, 62), (5, 11, 63), (8, 12, 64)]:
@@ -760,7 +815,8 @@ class TestValidation:
             E = V[:, 1:, :] - V[:, :1, :]
             G = np.einsum("fik,fjk->fij", E, E)
             gram = np.sqrt(np.maximum(np.linalg.det(G), 0.0)) / math.factorial(n - 1)
-            assert np.abs(fc.volumes - gram).max() <= 1e-10 * gram.max()
+            volumes = n * fc.cones / fc.dists
+            assert np.abs(volumes - gram).max() <= 1e-10 * gram.max()
 
 
 @pytest.fixture(scope="module")
@@ -845,7 +901,7 @@ class TestUnpackedIds:
             vertex_ids=wide_ids.vertex_ids[1:],
             normals=wide_ids.normals[1:],
             dists=wide_ids.dists[1:],
-            volumes=wide_ids.volumes[1:],
+            cones=wide_ids.cones[1:],
         )
         # the 8 ridges of F and the 8 of -F are left once each
         diag = validate_complex(mutant)
@@ -873,7 +929,7 @@ class TestInradius:
             vertex_ids=octahedron.vertex_ids[:0],
             normals=octahedron.normals[:0],
             dists=octahedron.dists[:0],
-            volumes=octahedron.volumes[:0],
+            cones=octahedron.cones[:0],
         )
         with pytest.raises(InvalidComplexError):
             inradius(mutant)

@@ -51,6 +51,25 @@ class TestCholeskyDet:
         with pytest.raises(NotSPDError):
             det_cov(np.diag([1.0, 1e-15]))
 
+    @pytest.mark.parametrize(
+        "volume, covariance, error",
+        [
+            (1.0, np.full((3, 3), np.nan), NotSPDError),
+            (1.0, np.array([[1.0, 0.0], [0.0, np.inf]]), NotSPDError),
+            (math.nan, np.eye(3), ValueError),
+            (math.inf, np.eye(3), ValueError),
+            (0.0, np.eye(3), ValueError),
+            (1.0, np.ones((2, 3)), ValueError),
+            (1.0, np.ones(3), ValueError),
+            (1.0, np.ones((0, 0)), ValueError),
+        ],
+        ids=["nan-cov", "inf-cov", "nan-volume", "inf-volume", "zero-volume", "2x3", "1-D", "0x0"],
+    )
+    def test_rejects_non_finite_and_misshapen_input(self, volume, covariance, error):
+        # NaN compares False against every guard, so each is written to fail on it
+        with pytest.raises(error, match="not SPD|must be"):
+            isotropy_constant(volume, covariance)
+
     def test_is_the_one_spd_gate(self):
         # polytope_covariance only symmetrizes; an indefinite second-moment
         # sum reaches isotropy_constant, which rejects it

@@ -257,10 +257,11 @@ def gathered_reference(fc) -> dict:
     fms = 2.0 / (n + 1) + cross / (n * (n + 1))
     mean_square = float(np.sum(dists / (n + 2.0) * volumes * fms)) / volume
     w = dists * volumes / n / ((n + 1.0) * (n + 2.0))
+    cones = dists * volumes / n
     second = V.reshape(-1, n).T @ (V * w[:, None, None]).reshape(-1, n) + s.T @ (s * w[:, None])
     rows = fc.vertex_ids.shape[0]
     return {
-        "volumes": volumes[:rows],
+        "cones": cones[:rows],
         "volume": volume,
         "mean_square": mean_square,
         "covariance": second / volume,
@@ -286,7 +287,7 @@ class TestFacetPass:
             monkeypatch.setattr(hull, "_BLOCK_FLOATS", block_of(pairs, case) * n * n)
         fc = random_complex(n, m, seed)
         ref = gathered_reference(fc)
-        np.testing.assert_allclose(fc.volumes, ref["volumes"], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(fc.cones, ref["cones"], rtol=1e-12, atol=0)
         assert polytope_volume(fc) == pytest.approx(ref["volume"], rel=1e-12)
         assert polytope_mean_square(fc) == pytest.approx(ref["mean_square"], rel=1e-12)
         cov = polytope_covariance(fc)

@@ -281,6 +281,20 @@ class TestPsi2Norm:
         lam = psi2_norm_estimate(vals)
         assert float(np.exp((vals / lam) ** 2).mean()) <= 2.0 + 1e-12
 
+    @pytest.mark.parametrize("k", [600, -600])
+    def test_power_of_two_scales_are_exact(self, k):
+        # v^2 would overflow at 2^600 and underflow at 2^-600; the search
+        # runs at unit scale, and powers of two scale it exactly
+        base = np.array([0.5, 1.0, 2.0])
+        assert psi2_norm_estimate(math.ldexp(1.0, k) * base) == math.ldexp(
+            psi2_norm_estimate(base), k
+        )
+
+    @pytest.mark.parametrize("t", [1e200, 1e-200])
+    def test_extreme_scales(self, t):
+        base = np.array([0.5, 1.0, 2.0])
+        assert psi2_norm_estimate(t * base) == pytest.approx(t * psi2_norm_estimate(base), rel=1e-6)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_sample_raises(self, bad):
         # no lambda satisfies a sample holding one non-finite value, so the
